@@ -9,11 +9,8 @@ from .model import (
     RttSeries,
     SampleSchedule,
     generate_series,
-    nominal_delay,
-    nominal_delay_exact,
-    remainder_h,
     rtt_sample,
-    sigma_to_snr,
+    sawtooth_template,
     snr_to_sigma,
 )
 from .edge_sim import (
@@ -22,7 +19,6 @@ from .edge_sim import (
     equivalent_clock_truth,
     next_edge,
     simulate_campaign,
-    simulate_exchange,
 )
 from .estimators import (
     Estimate,

@@ -43,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--t-m", type=float, default=1e-8, help="master clock period, s")
     est.add_argument("--delta0", type=float, default=5e-6)
     est.add_argument("--f-max", type=float, default=None)
-    est.add_argument("--n-phi", type=int, default=512)
     est.add_argument("--no-refine", action="store_true")
     est.add_argument("-o", "--output", default=None, help="default: stdout")
 
@@ -70,9 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _grids_for(series, args):
     ts = float(series.times[1] - series.times[0])
-    return estimators.SearchGrids.for_schedule(
-        len(series), ts, f_max=args.f_max, n_phi=args.n_phi
-    )
+    return estimators.SearchGrids.for_schedule(len(series), ts, f_max=args.f_max)
 
 
 def _estimate(series, method: str, args) -> estimators.Estimate:

@@ -61,7 +61,6 @@ class ExchangeConfig:
 
     K: int
     rho: float
-    ping_times: np.ndarray | None = None
     tdc_resolution: float | None = None
 
     def __post_init__(self):
@@ -78,41 +77,21 @@ def next_edge(osc: Oscillator, t):
     return osc.varphi + k / f
 
 
-def _exchange_rtt(master: Oscillator, slave: Oscillator, cfg: ExchangeConfig, ping_t):
-    """Vectorized exchange; returns (emission times, RTT values)."""
+def simulate_campaign(
+    master: Oscillator,
+    slave: Oscillator,
+    cfg: ExchangeConfig,
+    schedule: SampleSchedule,
+) -> RttSeries:
+    """One exchange per scheduled epoch; times are the actual PING emissions."""
     flight = cfg.rho / SPEED_OF_LIGHT
-    t_tx = next_edge(master, ping_t)  # PING snaps to a master edge
+    t_tx = next_edge(master, schedule.times())  # PING snaps to a master edge
     t_arrival = t_tx + flight
     t_count_start = next_edge(slave, t_arrival)
     t_rx = t_count_start + cfg.K * slave.period + flight
     rtt = t_rx - t_tx
     if cfg.tdc_resolution is not None:
         rtt = np.round(rtt / cfg.tdc_resolution) * cfg.tdc_resolution
-    return t_tx, rtt
-
-
-def simulate_exchange(
-    master: Oscillator, slave: Oscillator, cfg: ExchangeConfig, ping_t: float
-) -> float:
-    """RTT of a single exchange initiated at (the master edge following) ping_t."""
-    _, rtt = _exchange_rtt(master, slave, cfg, ping_t)
-    return float(rtt)
-
-
-def simulate_campaign(
-    master: Oscillator,
-    slave: Oscillator,
-    cfg: ExchangeConfig,
-    schedule: SampleSchedule | None = None,
-) -> RttSeries:
-    """One exchange per scheduled epoch; times are the actual PING emissions."""
-    if schedule is not None:
-        pings = schedule.times()
-    elif cfg.ping_times is not None:
-        pings = np.asarray(cfg.ping_times, dtype=float)
-    else:
-        raise ValueError("either a schedule or cfg.ping_times is required")
-    t_tx, rtt = _exchange_rtt(master, slave, cfg, pings)
     return RttSeries(t_tx, rtt)
 
 

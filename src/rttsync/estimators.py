@@ -12,17 +12,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import SPEED_OF_LIGHT, TWO_PI, RttSeries
+from .model import SPEED_OF_LIGHT, TWO_PI, RttSeries, sawtooth_template
 
 # Scale factor making the median absolute deviation consistent with the
 # standard deviation of a Gaussian.
 NMAD_FACTOR = 1.483
 
-_DEFAULT_N_PHI = 512
+# PCP correlates against this many phases spread evenly over the circle.
+_N_PHI = 512
 _REFINE_FACTOR = 10
 _REFINE_POINTS = 21
 _REFINE_LEVELS = 2
-_MAX_PHI_POINTS = 8192
+# Narrower WLS phase segments are rounding slivers between repeated wraps.
+_MIN_SEGMENT_RAD = 1e-9
+# Elements per (frequency, sample) work array in the WLS search.
+_SEARCH_CHUNK = 1 << 14
 
 
 def wrap_to_2pi(x):
@@ -37,7 +41,7 @@ def wrap_to_pm_pi(x):
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Nonnegative per-sample weights; at least one must be nonzero."""
+    """Finite nonnegative per-sample weights; at least one must be nonzero."""
 
     w: np.ndarray
 
@@ -46,6 +50,8 @@ class WeightVector:
         object.__setattr__(self, "w", w)
         if w.ndim != 1:
             raise ValueError("weights must be 1-D")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if np.any(w < 0.0):
             raise ValueError("weights must be nonnegative")
         if not np.any(w > 0.0):
@@ -92,7 +98,6 @@ class SearchGrids:
         N: int,
         Ts: float,
         f_max: float | None = None,
-        n_phi: int = _DEFAULT_N_PHI,
     ) -> "SearchGrids":
         """Default grids: frequency spacing a quarter of the Fourier
         resolution 1/(N*Ts), f_max at the Nyquist rate of the schedule."""
@@ -104,13 +109,18 @@ class SearchGrids:
         df = 1.0 / (4.0 * N * Ts)
         n_half = int(round(f_max / df))
         F = df * np.arange(-n_half, n_half + 1)
-        Phi = (TWO_PI / n_phi) * np.arange(n_phi)
+        Phi = (TWO_PI / _N_PHI) * np.arange(_N_PHI)
         return cls(F=F, Phi=Phi, f_max=f_max)
 
 
 @dataclass(frozen=True)
 class Estimate:
-    """Joint estimate of frequency difference (Hz), phase (rad) and range (m)."""
+    """Joint estimate of frequency difference (Hz), phase (rad) and range (m).
+
+    f_grid_step and phi_grid_step are the final search resolutions; for WLS
+    phi_grid_step is the width of the phase segment over which the cost is
+    flat at the minimum, i.e. how far phi_hat (with rho_hat) is ambiguous.
+    """
 
     f_d_hat: float
     phi_hat: float
@@ -133,11 +143,6 @@ class Estimate:
             "n_used": n - n_down,
             "n_downweighted": n_down,
         }
-
-
-def sawtooth_template(t, f_d: float, phi: float, T_m: float):
-    """Noiseless remainder waveform (T_m/2pi)*mod_2pi(2pi*f_d*t + phi)."""
-    return (T_m / TWO_PI) * np.mod(TWO_PI * f_d * np.asarray(t) + phi, TWO_PI)
 
 
 def _outlier_mask(y: np.ndarray):
@@ -348,100 +353,51 @@ def wls_cost(
     return float(np.sum(wv * r * r) - np.dot(wv, r) ** 2 / s)
 
 
-def _is_canonical_circle(Phi: np.ndarray) -> bool:
-    P = Phi.size
-    return bool(np.allclose(Phi, (TWO_PI / P) * np.arange(P), rtol=0.0, atol=1e-12))
+def _wls_search(b, t, wv, F, T_m):
+    """Exact minimum of the concentrated cost over F x the continuous circle.
 
+    At fixed f let psi = phi/2pi and c_i = 1 - frac(f*t_i), the phase at
+    which sample i wraps. The template is T_m*(frac(f*t_i) + psi), less T_m
+    once psi >= c_i, so the residual is a_i - T_m*psi + T_m*[psi >= c_i] with
+    a_i = b_i - T_m*frac(f*t_i). Profiling out the range removes the common
+    -T_m*psi, so the cost is constant on each segment between consecutive
+    sorted c_i, and prefix sums of w and w*a give every segment's cost at
+    once. Segments narrower than _MIN_SEGMENT_RAD are dropped: repeated wrap
+    phases (commensurate f*Ts) leave slivers that no phase can reach.
 
-def _wls_search_fft(b, t, wv, F, P, T_m):
-    """Grid search over F x (2pi*j/P for j in 0..P-1), exact via FFT.
-
-    Between wraps the sawtooth is linear in phase, and shifting phase by one
-    grid step permutes the wrap pattern circularly, so each cost term is an
-    exact circular correlation of per-sample masses (binned by the integer
-    part of the template argument) with ramp kernels. The fractional parts
-    only add phase-independent constants.
+    Returns (f, phi at the segment midpoint, segment width in rad, minimum
+    cost); ties resolve to the lowest frequency index.
     """
+    keep = wv > 0.0  # zero-weight samples neither cost nor bound a segment
+    t, b, wv = t[keep], b[keep], wv[keep]
     s = float(np.sum(wv))
-    wb = wv * b
-    const = float(np.sum(wv * b * b))
-    wtb = float(np.sum(wb))
-    amp = T_m / P  # template value is amp * ((j + q_i) mod P + g_i)
-
-    ramp = np.arange(P, dtype=float)
-    R1 = np.fft.rfft(ramp)
-    R2 = np.fft.rfft(ramp * ramp)
-
-    best = (math.inf, 0, 0)
-    chunk = max(1, int(8e6 / P))
+    b = b - np.dot(wv, b) / s
+    best = (0.0, 0.0, 0.0, math.inf)
+    chunk = max(1, _SEARCH_CHUNK // t.size)
     for start in range(0, F.size, chunk):
         f_blk = F[start : start + chunk]
-        nf = f_blk.size
         cycles = np.outer(f_blk, t)
-        frac = cycles - np.floor(cycles)
-        q = np.minimum((frac * P).astype(np.int64), P - 1)
-        g = frac * P - q
-
-        m_wb = np.zeros((nf, P))
-        m_w = np.zeros((nf, P))
-        m_wg = np.zeros((nf, P))
-        rows = np.repeat(np.arange(nf), t.size)
-        np.add.at(m_wb, (rows, q.ravel()), np.tile(wb, nf))
-        np.add.at(m_w, (rows, q.ravel()), np.tile(wv, nf))
-        np.add.at(m_wg, (rows, q.ravel()), (wv * g).reshape(nf, -1).ravel())
-
-        g_wb = wb @ g.T  # per-f sums over samples
-        g_w = wv @ g.T
-        g_w2 = wv @ (g * g).T
-
-        F_wb = np.conj(np.fft.rfft(m_wb, axis=1))
-        F_w = np.conj(np.fft.rfft(m_w, axis=1))
-        F_wg = np.conj(np.fft.rfft(m_wg, axis=1))
-
-        cross = amp * (np.fft.irfft(F_wb * R1, n=P, axis=1) + g_wb[:, None])
-        wh = amp * (np.fft.irfft(F_w * R1, n=P, axis=1) + g_w[:, None])
-        wh2 = amp * amp * (
-            np.fft.irfft(F_w * R2 + 2.0 * F_wg * R1, n=P, axis=1) + g_w2[:, None]
-        )
-        cost = (const - 2.0 * cross + wh2) - (wtb - wh) ** 2 / s
-        k = int(np.argmin(cost))
-        fi, pi = divmod(k, P)
-        if cost[fi, pi] < best[0]:
-            best = (float(cost[fi, pi]), start + fi, pi)
-    _, fi, pi = best
-    return float(F[fi]), TWO_PI * pi / P, best[0]
-
-
-def _wls_search(b, t, wv, F, Phi, T_m):
-    """Grid search of the concentrated cost; returns (f, phi, min cost).
-
-    Ties resolve to the lowest frequency index, then lowest phase index.
-    """
-    s = float(np.sum(wv))
-    wb = wv * b
-    const = float(np.sum(wv * b * b))
-    wtb = float(np.sum(wb))
-    amp = T_m / TWO_PI
-
-    best = (math.inf, 0, 0)
-    # chunk the frequency axis to bound the (f, sample, phi) work array
-    chunk = max(1, int(4e6 / (t.size * Phi.size)))
-    for start in range(0, F.size, chunk):
-        f_blk = F[start : start + chunk]
-        theta = (
-            TWO_PI * f_blk[:, None, None] * t[None, :, None] + Phi[None, None, :]
-        )
-        H = amp * np.mod(theta, TWO_PI)
-        cross = np.einsum("i,fip->fp", wb, H)
-        wh = np.einsum("i,fip->fp", wv, H)
-        wh2 = np.einsum("i,fip->fp", wv, H * H)
-        cost = (const - 2.0 * cross + wh2) - (wtb - wh) ** 2 / s
-        k = int(np.argmin(cost))
-        fi, pi = divmod(k, Phi.size)
-        if cost[fi, pi] < best[0]:
-            best = (float(cost[fi, pi]), start + fi, pi)
-    _, fi, pi = best
-    return float(F[fi]), float(Phi[pi]), best[0]
+        c = 1.0 - (cycles - np.floor(cycles))
+        order = np.argsort(c, axis=1)
+        c = np.take_along_axis(c, order, axis=1)
+        ws = wv[order]
+        a = b[order] - T_m * (1.0 - c)
+        wa = ws * a
+        # column j is the segment [c[j-1], c[j]) on which the j samples sorted
+        # before it have wrapped; column 0 runs round from c[-1] - 1
+        W = np.cumsum(ws, axis=1) - ws
+        A = np.cumsum(wa, axis=1) - wa
+        P = np.sum(wa, axis=1, keepdims=True)
+        Q = np.sum(wa * a, axis=1, keepdims=True)
+        cost = Q - P * P / s + 2.0 * T_m * (A - P * W / s) + T_m**2 * W * (1.0 - W / s)
+        width = np.diff(c, axis=1, prepend=c[:, -1:] - 1.0)
+        cost[TWO_PI * width < _MIN_SEGMENT_RAD] = math.inf
+        fi, j = divmod(int(np.argmin(cost)), c.shape[1])
+        if cost[fi, j] < best[3]:
+            mid = (c[fi, j - 1] + 0.5 * width[fi, j]) % 1.0
+            best = (float(f_blk[fi]), TWO_PI * mid, TWO_PI * float(width[fi, j]),
+                    float(cost[fi, j]))
+    return best
 
 
 def wls_estimate(
@@ -452,48 +408,29 @@ def wls_estimate(
     w: WeightVector | None = None,
     refine: bool = True,
 ) -> Estimate:
-    """Two-dimensional grid search of the concentrated WLS cost, followed by
-    the closed-form weighted range estimate. With refine=True a second local
-    search shrinks both grid steps tenfold around the coarse minimum."""
+    """Exact search of the concentrated WLS cost over the frequency grid and
+    the continuous phase circle, followed by the closed-form weighted range
+    estimate. With refine=True two local frequency searches each shrink the
+    frequency step tenfold around the minimum.
+
+    At the minimising frequency the cost is flat over a phase segment between
+    two wraps; phi_hat is its midpoint and phi_grid_step its width, the exact
+    phase-range ambiguity of the minimum.
+    """
     if w is None:
         w = WeightVector.uniform(len(series))
     if w.w.size != len(series):
         raise ValueError("weight length mismatch")
     t = series.times
     b = series.values - delta0
-    f_step, phi_step = grids.f_step, grids.phi_step
-    if _is_canonical_circle(grids.Phi):
-        P = grids.Phi.size
-        f_hat, phi_hat, _ = _wls_search_fft(b, t, w.w, grids.F, P, T_m)
-        if refine:
-            # each level shrinks the frequency step tenfold; the phase search
-            # stays over the full circle (so the f-phi valley is always
-            # covered). One tenfold phase refinement suffices: phase accuracy
-            # is limited by the wrap-position lattice (~2pi/N), not the grid
-            for level in range(_REFINE_LEVELS):
-                F_local = f_hat + np.linspace(-f_step, f_step, _REFINE_POINTS)
-                F_local = F_local[np.abs(F_local) <= grids.f_max]
-                if level == 0:
-                    P *= _REFINE_FACTOR
-                    phi_step /= _REFINE_FACTOR
-                f_hat, phi_hat, _ = _wls_search_fft(b, t, w.w, F_local, P, T_m)
-                f_step /= _REFINE_FACTOR
-    else:
-        f_hat, phi_hat, _ = _wls_search(b, t, w.w, grids.F, grids.Phi, T_m)
-        if refine:
-            t_span = max(float(np.abs(t).max()), 1e-12)
-            for _ in range(_REFINE_LEVELS):
-                F_local = f_hat + np.linspace(-f_step, f_step, _REFINE_POINTS)
-                F_local = F_local[np.abs(F_local) <= grids.f_max]
-                # a frequency shift df moves the matching phase by
-                # ~2*pi*df*t, so the window must cover the whole valley
-                phi_half = TWO_PI * f_step * t_span + 2.0 * phi_step
-                dphi = phi_step / _REFINE_FACTOR
-                n_phi = min(int(math.ceil(phi_half / dphi)), _MAX_PHI_POINTS // 2)
-                Phi_local = wrap_to_2pi(phi_hat + dphi * np.arange(-n_phi, n_phi + 1))
-                f_hat, phi_hat, _ = _wls_search(b, t, w.w, F_local, Phi_local, T_m)
-                f_step /= _REFINE_FACTOR
-                phi_step /= _REFINE_FACTOR
+    f_step = grids.f_step
+    f_hat, phi_hat, phi_width, _ = _wls_search(b, t, w.w, grids.F, T_m)
+    if refine:
+        for _ in range(_REFINE_LEVELS):
+            F_local = f_hat + np.linspace(-f_step, f_step, _REFINE_POINTS)
+            F_local = F_local[np.abs(F_local) <= grids.f_max]
+            f_hat, phi_hat, phi_width, _ = _wls_search(b, t, w.w, F_local, T_m)
+            f_step /= _REFINE_FACTOR
 
     r = b - sawtooth_template(t, f_hat, phi_hat, T_m)
     rho_hat = 0.5 * SPEED_OF_LIGHT * float(np.dot(w.w, r) / np.sum(w.w))
@@ -505,5 +442,5 @@ def wls_estimate(
         residuals=_residuals(series, f_hat, phi_hat, rho_hat, T_m, delta0),
         weights=w,
         f_grid_step=f_step,
-        phi_grid_step=phi_step,
+        phi_grid_step=phi_width,
     )

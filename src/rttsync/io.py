@@ -49,12 +49,9 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def series_to_csv(series: RttSeries) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SERIES_HEADER)
-    for t, y in zip(series.times, series.values):
-        writer.writerow([_fmt(t), _fmt(y)])
-    return buf.getvalue()
+    # tolist() yields Python floats, whose repr is the shortest round trip
+    rows = zip(series.times.tolist(), series.values.tolist())
+    return ",".join(SERIES_HEADER) + "\n" + "".join(f"{t!r},{y!r}\n" for t, y in rows)
 
 
 def write_series(path: str, series: RttSeries) -> None:

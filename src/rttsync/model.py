@@ -120,14 +120,6 @@ class NoiseSpec:
         sigma_n, sigma_v = snr_to_sigma(snr_c_db, snr_j_db, T_m)
         return cls(sigma_v=sigma_v, sigma_n=sigma_n)
 
-    def snr_c_db(self, T_m: float) -> float:
-        """Channel SNR in dB implied by sigma_n for a given clock period."""
-        return 20.0 * math.log10(T_m / self.sigma_n)
-
-    def snr_j_db(self) -> float:
-        """Jitter SNR in dB implied by sigma_v."""
-        return 20.0 * math.log10(TWO_PI / self.sigma_v)
-
 
 @dataclass(frozen=True)
 class RttSeries:
@@ -167,41 +159,20 @@ def snr_to_sigma(snr_c_db: float, snr_j_db: float, T_m: float) -> tuple[float, f
     return sigma_n, sigma_v
 
 
-def sigma_to_snr(sigma_n: float, sigma_v: float, T_m: float) -> tuple[float, float]:
-    """Inverse of :func:`snr_to_sigma`; returns (SNR_c, SNR_j) in dB."""
-    snr_c = 20.0 * math.log10(T_m / sigma_n)
-    snr_j = 20.0 * math.log10(TWO_PI / sigma_v)
-    return snr_c, snr_j
-
-
-def remainder_h(t, clock: ClockTruth, v=0.0):
+def sawtooth_template(t, f_d: float, phi: float, T_m: float, v=0.0):
     """Sawtooth remainder (T_m/2pi) * mod_2pi(2pi*f_d*t + phi + v), seconds.
 
     The waveform has period 1/|f_d| and amplitude T_m. Accepts scalars or
-    arrays for t and v.
+    arrays for t and for the clock jitter v.
     """
-    arg = TWO_PI * clock.f_d * np.asarray(t, dtype=float) + clock.phi + np.asarray(v)
-    return (clock.T_m / TWO_PI) * np.mod(arg, TWO_PI)
-
-
-def nominal_delay(Cs_span: float, clock: ClockTruth) -> float:
-    """Clocked slave delay, small-f_d approximation floor(span*f_m)/f_m."""
-    if not Cs_span > 0.0:
-        raise ValueError("Cs_span must be positive")
-    return math.floor(Cs_span * clock.f_m) / clock.f_m
-
-
-def nominal_delay_exact(Cs_span: float, clock: ClockTruth) -> float:
-    """Clocked slave delay without the small-f_d approximation."""
-    if not Cs_span > 0.0:
-        raise ValueError("Cs_span must be positive")
-    f_s = clock.f_s
-    return math.floor(Cs_span * f_s) / f_s
+    arg = TWO_PI * f_d * np.asarray(t, dtype=float) + phi + np.asarray(v)
+    return (T_m / TWO_PI) * np.mod(arg, TWO_PI)
 
 
 def rtt_sample(t, clock: ClockTruth, link: LinkTruth, v=0.0, n=0.0):
     """Single RTT measurement: remainder + delta0 + 2*rho/c + n, seconds."""
-    return remainder_h(t, clock, v) + link.delta0 + link.flight_time + np.asarray(n)
+    h = sawtooth_template(t, clock.f_d, clock.phi, clock.T_m, v)
+    return h + link.delta0 + link.flight_time + np.asarray(n)
 
 
 def generate_series(

@@ -146,7 +146,8 @@ def _apply_sweep(cfg: ExperimentConfig, value: float):
 
 def run_trial(cfg: ExperimentConfig, sweep_value: float, trial_seed) -> dict:
     """One randomized trial; returns, per estimator, the signed errors
-    (f_d in Hz, phase in radians, range in m) or None on estimator failure.
+    (f_d in Hz, phase in radians, range in m) or None when the estimator
+    rejects the record (ValueError or LinAlgError); other errors propagate.
 
     The phase truth is drawn uniformly from [0, 2pi) each trial.
     """
@@ -185,7 +186,7 @@ def run_trial(cfg: ExperimentConfig, sweep_value: float, trial_seed) -> dict:
                 phase_error(est.phi_hat, clock.phi),
                 est.rho_hat - cfg.link.rho,
             )
-        except Exception:
+        except (ValueError, np.linalg.LinAlgError):
             results[name] = None
     return results
 

@@ -9,7 +9,6 @@ from rttsync.edge_sim import (
     equivalent_clock_truth,
     next_edge,
     simulate_campaign,
-    simulate_exchange,
 )
 from rttsync.model import SPEED_OF_LIGHT, LinkTruth, SampleSchedule, rtt_sample
 
@@ -58,19 +57,25 @@ class TestNextEdge:
         np.testing.assert_allclose(out, [0.0, 2e-8, 3e-8], rtol=1e-12)
 
 
+def first_rtt(master, slave, cfg, ping_t):
+    """RTT of the first exchange of a two-exchange campaign starting at ping_t."""
+    series = simulate_campaign(master, slave, cfg, SampleSchedule(ping_t, 1e-3, 2))
+    return float(series.values[0])
+
+
 class TestSingleExchange:
     def test_zero_range_identical_clocks(self):
         master, slave = make_pair(1e8)
         cfg = ExchangeConfig(K=500, rho=0.0)
         # aligned edges, no flight: RTT is exactly K slave periods
-        assert simulate_exchange(master, slave, cfg, 0.0) == pytest.approx(
+        assert first_rtt(master, slave, cfg, 0.0) == pytest.approx(
             500 * 1e-8, rel=1e-12
         )
 
     def test_flight_time_appears_twice_modulo_edge_snap(self):
         master, slave = make_pair(1e8)
-        r0 = simulate_exchange(master, slave, ExchangeConfig(K=500, rho=0.0), 0.0)
-        r1 = simulate_exchange(master, slave, ExchangeConfig(K=500, rho=2.0), 0.0)
+        r0 = first_rtt(master, slave, ExchangeConfig(K=500, rho=0.0), 0.0)
+        r1 = first_rtt(master, slave, ExchangeConfig(K=500, rho=2.0), 0.0)
         flight = 2.0 / SPEED_OF_LIGHT
         # count start moves to the next slave edge after arrival; the return
         # flight adds in full, so the delta is that edge time plus one flight
@@ -80,7 +85,7 @@ class TestSingleExchange:
     def test_tdc_quantization(self):
         master, slave = make_pair(1e8 - 32.0, varphi_s=0.37e-8)
         cfg = ExchangeConfig(K=500, rho=2.0, tdc_resolution=1e-11)
-        rtt = simulate_exchange(master, slave, cfg, 0.123)
+        rtt = first_rtt(master, slave, cfg, 0.123)
         assert rtt == pytest.approx(round(rtt / 1e-11) * 1e-11, abs=1e-15)
 
 
@@ -109,14 +114,15 @@ class TestCampaignVsModel:
         assert clock.f_d == pytest.approx(32.0, rel=1e-9)
         assert 0.0 <= clock.phi < 2.0 * math.pi
 
-    def test_ping_times_from_config(self):
-        master, slave = make_pair(1e8 - 32.0)
-        pings = 1e-3 * np.arange(10)
-        cfg = ExchangeConfig(K=500, rho=0.0, ping_times=pings)
-        series = simulate_campaign(master, slave, cfg)
+    def test_emission_snaps_to_master_edges(self):
+        master, slave = make_pair(1e8 - 32.0, varphi_m=0.13e-8)
+        schedule = SampleSchedule(0.0, 1e-3, 10)
+        series = simulate_campaign(master, slave, ExchangeConfig(K=500, rho=0.0), schedule)
+        pings = schedule.times()
         assert len(series.values) == 10
-        # emission snaps forward onto master edges
+        # emission snaps forward onto the next master edge
         assert np.all(series.times >= pings)
+        assert np.all(series.times - pings < master.period)
 
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
@@ -124,5 +130,5 @@ class TestCampaignVsModel:
 
     def test_campaign_requires_epochs(self):
         master, slave = make_pair(1e8)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             simulate_campaign(master, slave, ExchangeConfig(K=1, rho=0.0))

@@ -11,13 +11,11 @@ from rttsync.estimators import (
     WeightVector,
     _periodogram,
     _wls_search,
-    _wls_search_fft,
     pcp_estimate,
     phase_error,
     phase_error_seconds,
     preprocess_outliers,
     robust_weights,
-    sawtooth_template,
     uls_estimate,
     unwrap,
     wls_cost,
@@ -32,6 +30,7 @@ from rttsync.model import (
     RttSeries,
     SampleSchedule,
     generate_series,
+    sawtooth_template,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -151,6 +150,11 @@ class TestWeightVector:
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):
             WeightVector(np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError):
+            WeightVector(np.array([1.0, bad, 1.0]))
 
     def test_counts(self):
         w = WeightVector(np.array([1.0, 0.0, 1.0, 0.0]))
@@ -298,30 +302,67 @@ class TestWlsCost:
         ) == pytest.approx(0.0, abs=1e-28)
 
 
-class TestWlsSearchEquivalence:
-    def test_fft_path_matches_dense_costs(self):
-        rng = np.random.default_rng(7)
-        t = 1e-3 * np.arange(40)
-        b = 5e-9 * rng.uniform(0.0, 2.0, 40)
-        wv = rng.uniform(0.5, 1.5, 40)
-        P = 64
-        F = np.linspace(-100.0, 100.0, 41)
-        Phi = (TWO_PI / P) * np.arange(P)
-        f1, p1, c1 = _wls_search_fft(b, t, wv, F, P, T_M)
-        f2, p2, c2 = _wls_search(b, t, wv, F, Phi, T_M)
-        assert c1 == pytest.approx(c2, rel=1e-9)
+# offset half a step so that no point sits exactly on the wrap phase of a
+# commensurate record, where rounding wraps only part of a repeated group
+DENSE_PHI = (TWO_PI / 20_000) * (np.arange(20_000) + 0.5)
 
-    def test_fft_cost_value_matches_direct(self):
-        rng = np.random.default_rng(8)
-        t = 1e-3 * np.arange(30)
-        y = 5e-6 + 1e-8 * rng.uniform(0.0, 1.0, 30)
-        series = RttSeries(t, y)
-        wv = rng.uniform(0.5, 1.5, 30)
-        P = 32
-        F = np.array([-40.0, -39.5])
-        f, phi, c = _wls_search_fft(y - 5e-6, t, wv, F, P, T_M)
+
+def direct_costs(b, t, wv, f, phi):
+    """Concentrated cost at one frequency and an array of phases, computed
+    directly from the template, independently of the search."""
+    h = (T_M / TWO_PI) * np.mod(TWO_PI * f * t[None, :] + phi[:, None], TWO_PI)
+    r = b[None, :] - h
+    return (r * r) @ wv - (r @ wv) ** 2 / wv.sum()
+
+
+def random_record(rng, n):
+    t = 1e-3 * np.arange(n)
+    b = T_M * rng.uniform(0.0, 2.0, n)
+    wv = rng.uniform(0.2, 2.0, n)
+    wv[rng.random(n) < 0.1] = 0.0  # some samples downweighted
+    wv[0] = 1.0
+    return t, b, wv
+
+
+class TestWlsSegmentSearch:
+    F = np.linspace(-100.0, 100.0, 41)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dense_phase_grid_never_beats_minimum(self, seed):
+        rng = np.random.default_rng(seed)
+        t, b, wv = random_record(rng, int(rng.integers(8, 40)))
+        f, phi, width, c_min = _wls_search(b, t, wv, self.F, T_M)
+        assert 0.0 < width <= TWO_PI
+        brute = direct_costs(b, t, wv, f, DENSE_PHI)
+        assert brute.min() >= c_min * (1.0 - 1e-9)
+        # the segment is flat at the minimum and ends where a weighted
+        # sample wraps, so the cost changes just beyond either end
+        d = np.mod(DENSE_PHI - phi, TWO_PI)
+        inside = np.minimum(d, TWO_PI - d) < 0.45 * width
+        np.testing.assert_allclose(brute[inside], c_min, rtol=1e-9)
+        ends = phi + np.array([-1.0, 1.0]) * (0.5 * width + 1e-6)
+        assert np.all(direct_costs(b, t, wv, f, ends) > c_min * (1.0 + 1e-9))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reported_minimum_matches_direct_cost(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        t, b, wv = random_record(rng, int(rng.integers(8, 40)))
+        f, phi, _, c_min = _wls_search(b, t, wv, self.F, T_M)
+        series = RttSeries(t, b + 5e-6)
         direct = wls_cost(f, phi, series, T_M, 5e-6, WeightVector(wv))
-        assert c == pytest.approx(direct, rel=1e-9)
+        assert direct == pytest.approx(c_min, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_commensurate_record_skips_slivers(self, seed):
+        # f*Ts = 1/8: every wrap phase repeats eight times, up to rounding,
+        # and no phase wraps only part of such a group
+        rng = np.random.default_rng(200 + seed)
+        t, b, wv = random_record(rng, 64)
+        f, phi, width, c_min = _wls_search(b, t, wv, np.array([125.0]), T_M)
+        assert width > 1e-9
+        direct = wls_cost(f, phi, RttSeries(t, b), T_M, 0.0, WeightVector(wv))
+        assert direct == pytest.approx(c_min, rel=1e-9)
+        assert direct_costs(b, t, wv, f, DENSE_PHI).min() >= c_min * (1.0 - 1e-9)
 
 
 class TestWlsEstimate:
@@ -353,30 +394,13 @@ class TestWlsEstimate:
         g = SearchGrids.for_schedule(N=100, Ts=1e-3)
         est = wls_estimate(series, T_M, link.delta0, g)
         assert est.f_grid_step == pytest.approx(g.f_step / 100.0, rel=1e-9)
-        assert est.phi_grid_step == pytest.approx(g.phi_step / 10.0, rel=1e-9)
+        # the phase step is the width of the minimising segment, which holds
+        # the noiseless truth
+        assert 0.0 < est.phi_grid_step <= TWO_PI
+        assert abs(phase_error(est.phi_hat, 2.0)) <= est.phi_grid_step / 2.0
 
     def test_weight_length_mismatch(self):
         series, _, link = noiseless(-32.0, 2.0, N=100)
         g = SearchGrids.for_schedule(N=100, Ts=1e-3)
         with pytest.raises(ValueError):
             wls_estimate(series, T_M, link.delta0, g, w=WeightVector.uniform(99))
-
-    def test_noncanonical_phase_grid_dense_path(self):
-        series, clock, link = noiseless(-32.0, 2.0, N=60)
-        base = SearchGrids.for_schedule(N=60, Ts=1e-3, n_phi=128)
-        shifted = SearchGrids(
-            F=base.F, Phi=base.Phi + 0.5 * base.phi_step, f_max=base.f_max
-        )
-        est = wls_estimate(series, T_M, link.delta0, shifted)
-        assert est.f_d_hat == pytest.approx(-32.0, abs=0.1)
-
-
-class TestSawtoothTemplate:
-    def test_range_and_period(self):
-        t = 1e-3 * np.arange(1000)
-        p = sawtooth_template(t, -32.0, 1.0, T_M)
-        assert p.min() >= 0.0 and p.max() < T_M
-
-    def test_zero_frequency_constant(self):
-        p = sawtooth_template(np.arange(5.0), 0.0, math.pi, T_M)
-        np.testing.assert_allclose(p, 0.5 * T_M, rtol=1e-12)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -46,6 +48,16 @@ class TestSeriesCsv:
         back = read_series(str(path))
         np.testing.assert_array_equal(back.times, series.times)
         np.testing.assert_array_equal(back.values, series.values)
+
+    def test_matches_csv_writer_rendering(self):
+        # the reference: one csv.writer row per sample, repr of each float
+        series = sample_series(N=200, seed=4)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("t_seconds", "y_seconds"))
+        for t, y in zip(series.times, series.values):
+            writer.writerow([repr(float(t)), repr(float(y))])
+        assert series_to_csv(series) == buf.getvalue()
 
     def test_header(self):
         text = series_to_csv(sample_series(N=3))

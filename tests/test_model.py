@@ -12,11 +12,8 @@ from rttsync.model import (
     RttSeries,
     SampleSchedule,
     generate_series,
-    nominal_delay,
-    nominal_delay_exact,
-    remainder_h,
     rtt_sample,
-    sigma_to_snr,
+    sawtooth_template,
     snr_to_sigma,
 )
 
@@ -33,30 +30,27 @@ def count_wraps(values):
 
 class TestRemainder:
     def test_zero_arguments(self):
-        clock = ClockTruth(f_m=1e8, f_d=0.0, phi=0.0)
-        assert remainder_h(123.456, clock) == 0.0
+        assert sawtooth_template(123.456, 0.0, 0.0, 1e-8) == 0.0
 
     def test_half_scale_point(self):
-        clock = ClockTruth(f_m=1e8, f_d=0.0, phi=math.pi)
-        assert remainder_h(3.0, clock) == pytest.approx(5e-9, rel=1e-12)
+        assert sawtooth_template(3.0, 0.0, math.pi, 1e-8) == pytest.approx(5e-9, rel=1e-12)
 
     def test_wrap_period_matches_inverse_fd(self):
         # noiseless sawtooth at f_d=-32 Hz, Ts=1e-3: wrap-to-wrap spacing
         # should average 1/|f_d| = 31.25 ms, i.e. 31.25 samples
-        clock = ClockTruth(f_m=1e8, f_d=-32.0, phi=1.3)
         t = 1e-3 * np.arange(10_000)
-        y = remainder_h(t, clock)
+        y = sawtooth_template(t, -32.0, 1.3, 1e-8)
         wraps = count_wraps(y)
         periods = np.diff(wraps) * 1e-3
         assert np.mean(periods) == pytest.approx(1.0 / 32.0, rel=1e-3)
         assert len(wraps) == pytest.approx(10.0 * 32.0, abs=1)
 
     def test_periodicity(self):
-        clock = ClockTruth(f_m=1e8, f_d=-32.0, phi=2.2)
         t = np.linspace(0.0, 0.03, 57)
         for k in (1, 2, 5):
             np.testing.assert_allclose(
-                remainder_h(t + k / 32.0, clock), remainder_h(t, clock),
+                sawtooth_template(t + k / 32.0, -32.0, 2.2, 1e-8),
+                sawtooth_template(t, -32.0, 2.2, 1e-8),
                 rtol=1e-9, atol=1e-20,
             )
 
@@ -67,26 +61,33 @@ class TestRemainder:
         v=st.floats(-50.0, 50.0),
     )
     def test_bounds(self, t, f_d, phi, v):
-        clock = ClockTruth(f_m=1e8, f_d=f_d, phi=phi)
-        h = float(remainder_h(t, clock, v))
+        h = float(sawtooth_template(t, f_d, phi, 1e-8, v))
         # upper edge reachable by rounding when the wrapped angle is 2*pi - eps
-        assert 0.0 <= h <= clock.T_m
+        assert 0.0 <= h <= 1e-8
 
+    def test_range_and_period(self):
+        t = 1e-3 * np.arange(1000)
+        p = sawtooth_template(t, -32.0, 1.0, 1e-8)
+        assert p.min() >= 0.0 and p.max() < 1e-8
 
-class TestNominalDelay:
-    def test_whole_cycles(self):
-        assert nominal_delay(5e-6, CLOCK) == pytest.approx(5e-6, rel=1e-12)
+    def test_zero_frequency_constant(self):
+        p = sawtooth_template(np.arange(5.0), 0.0, math.pi, 1e-8)
+        np.testing.assert_allclose(p, 0.5e-8, rtol=1e-12)
 
-    def test_floor_of_fractional_cycles(self):
-        assert nominal_delay(1.5e-8, CLOCK) == pytest.approx(1e-8, rel=1e-12)
-
-    def test_exact_vs_approximate_gap(self):
-        gap = abs(nominal_delay_exact(5e-6, CLOCK) - nominal_delay(5e-6, CLOCK))
-        assert gap < 2e-12
-
-    def test_rejects_nonpositive_span(self):
-        with pytest.raises(ValueError):
-            nominal_delay(0.0, CLOCK)
+    def test_noisy_series_matches_inline_formula_exactly(self):
+        # generate_series must add jitter inside the wrap in the order
+        # 2pi*f_d*t + phi + v, bit for bit
+        sched = SampleSchedule(0.0, 1e-3, 500)
+        clock = ClockTruth(1e8, -32.0, 2.0)
+        noise = NoiseSpec.from_snr(30.0, 20.0, clock.T_m)
+        series = generate_series(sched, clock, LINK, noise, seed=5)
+        rng = np.random.default_rng(5)
+        v = rng.normal(0.0, noise.sigma_v, sched.N)
+        n = rng.normal(0.0, noise.sigma_n, sched.N)
+        t = sched.times()
+        h = (clock.T_m / TWO_PI) * np.mod(TWO_PI * clock.f_d * t + clock.phi + v, TWO_PI)
+        expected = h + LINK.delta0 + LINK.flight_time + n
+        np.testing.assert_array_equal(series.values, expected)
 
 
 class TestRttSample:
@@ -124,15 +125,15 @@ class TestSnrConversion:
         assert sigma_v == pytest.approx(TWO_PI / 10.0, rel=1e-12)
 
     def test_round_trip(self):
+        # invert through the defining SNR formulas
         sigma_n, sigma_v = snr_to_sigma(37.0, 23.0, 1e-8)
-        snr_c, snr_j = sigma_to_snr(sigma_n, sigma_v, 1e-8)
-        assert snr_c == pytest.approx(37.0, rel=1e-12)
-        assert snr_j == pytest.approx(23.0, rel=1e-12)
+        assert 10.0 * math.log10(1e-16 / sigma_n**2) == pytest.approx(37.0, rel=1e-12)
+        assert 10.0 * math.log10(TWO_PI**2 / sigma_v**2) == pytest.approx(23.0, rel=1e-12)
 
     def test_noisespec_round_trip(self):
         spec = NoiseSpec.from_snr(40.0, 20.0, 1e-8)
-        assert spec.snr_c_db(1e-8) == pytest.approx(40.0, rel=1e-12)
-        assert spec.snr_j_db() == pytest.approx(20.0, rel=1e-12)
+        assert 20.0 * math.log10(1e-8 / spec.sigma_n) == pytest.approx(40.0, rel=1e-12)
+        assert 20.0 * math.log10(TWO_PI / spec.sigma_v) == pytest.approx(20.0, rel=1e-12)
 
 
 class TestGenerateSeries:

@@ -176,3 +176,23 @@ class TestRunSweep:
         )
         rep = run_sweep(cfg)
         assert rep.rmse(0.3, "ULS", "rho_m") > 3.0 * rep.rmse(0.0, "ULS", "rho_m")
+
+
+class TestTrialErrors:
+    def test_unexpected_error_propagates(self, monkeypatch):
+        # only estimator rejections of a record count as failed trials
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr("rttsync.montecarlo.wls_estimate", broken)
+        with pytest.raises(RuntimeError):
+            run_trial(base_config(estimators=("WLS",)), 0.0, (0, 0, 0))
+
+    def test_value_error_counts_as_failure(self, monkeypatch):
+        def rejects(*args, **kwargs):
+            raise ValueError("bad record")
+
+        monkeypatch.setattr("rttsync.montecarlo.wls_estimate", rejects)
+        result = run_trial(base_config(estimators=("ULS", "WLS")), 0.0, (0, 0, 0))
+        assert result["WLS"] is None and result["ULS"] is not None
+
