@@ -2,7 +2,8 @@
 
 All three recover (f_d, phi, rho) from the same N = 200 samples:
   ULS  unwraps the normalized record and fits a line;
-  PCP  picks the periodogram peak, then the correlation peak over phase;
+  PCP  picks the periodogram peak, then the correlation peak exactly over
+       the continuous phase circle;
   WLS  minimises the concentrated weighted least-squares cost exactly over
        the frequency grid and the continuous phase circle.
 """
@@ -29,8 +30,7 @@ noise = NoiseSpec.from_snr(30.0, 30.0, clock.T_m)
 series = generate_series(schedule, clock, link, noise, seed=11)
 grids = SearchGrids.for_schedule(schedule.N, schedule.Ts)
 print(f"truth: f_d = {clock.f_d} Hz, phi = {clock.phi} rad, rho = {link.rho} m")
-print(f"search grids: {grids.F.size} frequencies (step {grids.f_step} Hz); "
-      f"PCP correlates over {grids.Phi.size} phases\n")
+print(f"search grid: {grids.F.size} frequencies (step {grids.f_step} Hz)\n")
 
 estimates = [
     uls_estimate(series, clock.T_m, link.delta0),
@@ -42,8 +42,9 @@ for est in estimates:
     dphi_ps = 1e12 * phase_error_seconds(est.phi_hat, clock.phi, clock.T_m)
     print(f"{est.method:4s} {est.f_d_hat:12.4f} {dphi_ps:12.2f} {est.rho_hat:10.4f}")
 
-# the WLS phase error in radians, against the width of the phase segment
-# over which its cost is flat
-wls = estimates[-1]
-print(f"\nWLS phase error = {phase_error(wls.phi_hat, clock.phi):+.2e} rad "
-      f"(phase segment width: {wls.phi_grid_step:.2e} rad)")
+# the PCP and WLS phase errors in radians, against the width of the phase
+# segment over which the correlation or the cost is flat
+print()
+for est in estimates[1:]:
+    print(f"{est.method} phase error = {phase_error(est.phi_hat, clock.phi):+.2e} rad "
+          f"(phase segment width: {est.phi_grid_step:.2e} rad)")

@@ -37,4 +37,7 @@ for value in cfg.sweep_values:
               f"{row['rmse_phi_s']:13.2e} {row['rmse_rho_m']:13.4f}")
     print()
 
-print("note the WLS floor at high SNR: grid quantization, not noise")
+# With SNR_j at 60 dB instead, the WLS f_d RMSE (N = 100, M = 50, seed 0) at
+# SNR_c 30/40/60 dB falls to 0.111/0.037/0.0 Hz, against 0.145/0.103/0.118 Hz
+# at SNR_j 40 dB: the floor is the jitter, not the search grid.
+print("note the WLS floor at high SNR_c: clock jitter (SNR_j = 40 dB), not the grid")

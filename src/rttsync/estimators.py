@@ -18,12 +18,11 @@ from .model import SPEED_OF_LIGHT, TWO_PI, RttSeries, sawtooth_template
 # standard deviation of a Gaussian.
 NMAD_FACTOR = 1.483
 
-# PCP correlates against this many phases spread evenly over the circle.
-_N_PHI = 512
 _REFINE_FACTOR = 10
 _REFINE_POINTS = 21
 _REFINE_LEVELS = 2
-# Narrower WLS phase segments are rounding slivers between repeated wraps.
+# Narrower phase segments are rounding slivers between repeated wrap phases
+# (commensurate f*Ts), which no phase can reach.
 _MIN_SEGMENT_RAD = 1e-9
 # Elements per (frequency, sample) work array in the WLS search.
 _SEARCH_CHUNK = 1 << 14
@@ -72,25 +71,19 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class SearchGrids:
-    """Uniform frequency and phase grids for the grid-search estimators."""
+    """Uniform frequency grid for the search estimators."""
 
     F: np.ndarray
-    Phi: np.ndarray
     f_max: float
 
     def __post_init__(self):
         object.__setattr__(self, "F", np.asarray(self.F, dtype=float))
-        object.__setattr__(self, "Phi", np.asarray(self.Phi, dtype=float))
-        if self.F.size < 2 or self.Phi.size < 2:
+        if self.F.size < 2:
             raise ValueError("grids need at least two points")
 
     @property
     def f_step(self) -> float:
         return float(self.F[1] - self.F[0])
-
-    @property
-    def phi_step(self) -> float:
-        return float(self.Phi[1] - self.Phi[0])
 
     @classmethod
     def for_schedule(
@@ -99,7 +92,7 @@ class SearchGrids:
         Ts: float,
         f_max: float | None = None,
     ) -> "SearchGrids":
-        """Default grids: frequency spacing a quarter of the Fourier
+        """Default grid: frequency spacing a quarter of the Fourier
         resolution 1/(N*Ts), f_max at the Nyquist rate of the schedule."""
         nyquist = 1.0 / (2.0 * Ts)
         if f_max is None:
@@ -109,17 +102,16 @@ class SearchGrids:
         df = 1.0 / (4.0 * N * Ts)
         n_half = int(round(f_max / df))
         F = df * np.arange(-n_half, n_half + 1)
-        Phi = (TWO_PI / _N_PHI) * np.arange(_N_PHI)
-        return cls(F=F, Phi=Phi, f_max=f_max)
+        return cls(F=F, f_max=f_max)
 
 
 @dataclass(frozen=True)
 class Estimate:
     """Joint estimate of frequency difference (Hz), phase (rad) and range (m).
 
-    f_grid_step and phi_grid_step are the final search resolutions; for WLS
-    phi_grid_step is the width of the phase segment over which the cost is
-    flat at the minimum, i.e. how far phi_hat (with rho_hat) is ambiguous.
+    f_grid_step is the final frequency step. For PCP and WLS phi_grid_step
+    is the width of the phase segment over which the score is flat at its
+    optimum, i.e. how far phi_hat (with rho_hat) is ambiguous.
     """
 
     f_d_hat: float
@@ -266,13 +258,13 @@ def pcp_estimate(
 
     Frequency magnitude from the periodogram peak of the mean-removed data,
     sign and phase from the correlation peak against candidate sawtooths,
-    range from a direct least-squares fit of the leftover constant.
+    found exactly over the continuous phase circle, and range from a direct
+    least-squares fit of the leftover constant.
     """
     if len(series) < 4:
         raise ValueError("need at least 4 samples")
     y = series.values
     t = series.times
-    n = y.size
     y0 = y - np.mean(y)
 
     f_grid = grids.F[grids.F > 0.0]  # periodogram half-grid, DC excluded
@@ -299,42 +291,27 @@ def pcp_estimate(
             f_mag = float(local[int(np.argmax(power))])
             f_step = f_step / _REFINE_FACTOR
 
-    def correlation(phis: np.ndarray, sign: float) -> np.ndarray:
-        p = np.mod(TWO_PI * sign * f_mag * t[:, None] + phis[None, :], TWO_PI)
-        p0 = p - p.mean(axis=0)
-        return y0 @ p0
+    # correlate mean-removed data against sawtooths of either slope, keeping
+    # the sign: the constant offset would swamp the peak, and centered
+    # sawtooths of opposite slope are mirror images. The template is
+    # 2pi*(1 - c_i + psi), less 2pi once psi >= c_i, so as sum(y0) = 0 the
+    # correlation y0 @ p is constant between wraps. Row 0 (-f_mag) wins ties.
+    c, order, width = _wrap_segments(np.array([-f_mag, f_mag]), t)
+    ys = y0[order]
+    score = np.sum(ys * (1.0 - c), axis=1, keepdims=True) - (np.cumsum(ys, axis=1) - ys)
+    row, phi_hat, phi_width, _ = _best_segment(-TWO_PI * score, c, width)
+    f_d_hat = (-f_mag, f_mag)[row]
 
-    # correlate mean-removed data against mean-removed templates, keeping the
-    # sign of the correlation: the raw constant offset (delta0 + flight time)
-    # would swamp the peak, and centered sawtooths of opposite slope are
-    # mirror images, so only the signed peak separates the two slopes
-    scores = np.stack([correlation(grids.Phi, s) for s in (-1.0, 1.0)])
-    s_idx, p_idx = np.unravel_index(int(np.argmax(scores)), scores.shape)
-    sign = (-1.0, 1.0)[s_idx]
-    phi_hat = float(grids.Phi[p_idx])
-    phi_step = grids.phi_step
-    if refine:
-        for _ in range(_REFINE_LEVELS):
-            local_phi = wrap_to_2pi(
-                phi_hat + np.linspace(-phi_step, phi_step, _REFINE_POINTS)
-            )
-            scores = correlation(local_phi, sign)
-            phi_hat = float(local_phi[int(np.argmax(scores))])
-            phi_step = phi_step / _REFINE_FACTOR
-
-    f_d_hat = sign * f_mag
-    p_best = np.mod(TWO_PI * f_d_hat * t + phi_hat, TWO_PI)
-    rho_hat = (
-        0.5 * SPEED_OF_LIGHT / n * float(np.sum(y - (T_m / TWO_PI) * p_best - delta0))
-    )
+    r = y - sawtooth_template(t, f_d_hat, phi_hat, T_m) - delta0
+    rho_hat = 0.5 * SPEED_OF_LIGHT / r.size * float(np.sum(r))
     return Estimate(
         f_d_hat=f_d_hat,
         phi_hat=phi_hat,
         rho_hat=rho_hat,
         method="PCP",
-        residuals=_residuals(series, f_d_hat, phi_hat, rho_hat, T_m, delta0),
+        residuals=r - 2.0 * rho_hat / SPEED_OF_LIGHT,
         f_grid_step=f_step,
-        phi_grid_step=phi_step,
+        phi_grid_step=phi_width,
     )
 
 
@@ -353,6 +330,32 @@ def wls_cost(
     return float(np.sum(wv * r * r) - np.dot(wv, r) ** 2 / s)
 
 
+def _wrap_segments(F, t, out=None):
+    """Per frequency in F, the sorted wrap phases c_i = 1 - frac(f*t_i) in
+    cycles, their sort order and each segment's width: column j is the
+    segment [c[j-1], c[j]), on which the j samples sorted before it have
+    wrapped; column 0 runs round from c[-1] - 1. `out` may give three
+    (F.size, t.size) arrays to write c, the widths and scratch into."""
+    c, width, raw = np.empty((3, F.size, t.size)) if out is None else out
+    np.multiply.outer(F, t, out=raw)
+    raw -= np.floor(raw, out=c)
+    np.subtract(1.0, raw, out=raw)
+    order = np.argsort(raw, axis=1)
+    c[...] = np.take_along_axis(raw, order, axis=1)
+    np.subtract(c[:, 1:], c[:, :-1], out=width[:, 1:])
+    np.subtract(c[:, 0], c[:, -1] - 1.0, out=width[:, 0])
+    return c, order, width
+
+
+def _best_segment(cost, c, width):
+    """(row, midpoint phase, width in rad, cost) of the lowest-cost segment
+    no narrower than _MIN_SEGMENT_RAD; ties go to the lowest row."""
+    cost[TWO_PI * width < _MIN_SEGMENT_RAD] = math.inf
+    i, j = divmod(int(np.argmin(cost)), c.shape[1])
+    mid = (c[i, j - 1] + 0.5 * width[i, j]) % 1.0
+    return i, float(TWO_PI * mid), TWO_PI * float(width[i, j]), float(cost[i, j])
+
+
 def _wls_search(b, t, wv, F, T_m):
     """Exact minimum of the concentrated cost over F x the continuous circle.
 
@@ -362,8 +365,7 @@ def _wls_search(b, t, wv, F, T_m):
     a_i = b_i - T_m*frac(f*t_i). Profiling out the range removes the common
     -T_m*psi, so the cost is constant on each segment between consecutive
     sorted c_i, and prefix sums of w and w*a give every segment's cost at
-    once. Segments narrower than _MIN_SEGMENT_RAD are dropped: repeated wrap
-    phases (commensurate f*Ts) leave slivers that no phase can reach.
+    once.
 
     Returns (f, phi at the segment midpoint, segment width in rad, minimum
     cost); ties resolve to the lowest frequency index.
@@ -373,30 +375,43 @@ def _wls_search(b, t, wv, F, T_m):
     s = float(np.sum(wv))
     b = b - np.dot(wv, b) / s
     best = (0.0, 0.0, 0.0, math.inf)
-    chunk = max(1, _SEARCH_CHUNK // t.size)
-    for start in range(0, F.size, chunk):
-        f_blk = F[start : start + chunk]
-        cycles = np.outer(f_blk, t)
-        c = 1.0 - (cycles - np.floor(cycles))
-        order = np.argsort(c, axis=1)
-        c = np.take_along_axis(c, order, axis=1)
-        ws = wv[order]
-        a = b[order] - T_m * (1.0 - c)
-        wa = ws * a
-        # column j is the segment [c[j-1], c[j]) on which the j samples sorted
-        # before it have wrapped; column 0 runs round from c[-1] - 1
-        W = np.cumsum(ws, axis=1) - ws
-        A = np.cumsum(wa, axis=1) - wa
+    rows = min(F.size, max(1, _SEARCH_CHUNK // t.size))
+    # one set of work arrays per search, written in place: fresh arrays per
+    # block made the page-fault count depend on what the heap held before
+    work = np.empty((8, rows, t.size))
+    # 0/1 weights are all ones after `keep`; then w*a = a, W = j and the last
+    # cost term is one row shared by every frequency, bit for bit
+    ones = bool(np.all(wv == 1.0))
+    if ones:
+        W = np.arange(t.size, dtype=float)
+        curve = T_m**2 * W * (1.0 - W / s)
+    for start in range(0, F.size, rows):
+        f_blk = F[start : start + rows]
+        c, width, tmp, a, wa, A, cost, ws = work[:, : f_blk.size]
+        c, order, width = _wrap_segments(f_blk, t, (c, width, tmp))
+        # a = b[order] - T_m*(1 - c); mode="clip" lets take write into out
+        np.take(b, order, out=a, mode="clip")
+        a -= np.multiply(np.subtract(1.0, c, out=tmp), T_m, out=tmp)
+        if ones:
+            wa = a
+        else:
+            np.multiply(np.take(wv, order, out=ws, mode="clip"), a, out=wa)
+            W = np.cumsum(ws, axis=1, out=tmp)
+            W -= ws
+            curve = np.subtract(1.0, np.divide(W, s, out=ws), out=ws)
+            curve *= np.multiply(W, T_m**2, out=A)
+        np.cumsum(wa, axis=1, out=A)
+        A -= wa
         P = np.sum(wa, axis=1, keepdims=True)
-        Q = np.sum(wa * a, axis=1, keepdims=True)
-        cost = Q - P * P / s + 2.0 * T_m * (A - P * W / s) + T_m**2 * W * (1.0 - W / s)
-        width = np.diff(c, axis=1, prepend=c[:, -1:] - 1.0)
-        cost[TWO_PI * width < _MIN_SEGMENT_RAD] = math.inf
-        fi, j = divmod(int(np.argmin(cost)), c.shape[1])
-        if cost[fi, j] < best[3]:
-            mid = (c[fi, j - 1] + 0.5 * width[fi, j]) % 1.0
-            best = (float(f_blk[fi]), TWO_PI * mid, TWO_PI * float(width[fi, j]),
-                    float(cost[fi, j]))
+        Q = np.sum(np.multiply(wa, a, out=cost), axis=1, keepdims=True)
+        # cost = Q - P*P/s + 2*T_m*(A - P*W/s) + T_m**2*W*(1 - W/s)
+        np.subtract(A, np.divide(np.multiply(P, W, out=cost), s, out=cost), out=cost)
+        cost *= 2.0 * T_m
+        cost += Q - P * P / s
+        cost += curve
+        fi, phi, phi_width, c_min = _best_segment(cost, c, width)
+        if c_min < best[3]:
+            best = (float(f_blk[fi]), phi, phi_width, c_min)
     return best
 
 
@@ -436,7 +451,7 @@ def wls_estimate(
     rho_hat = 0.5 * SPEED_OF_LIGHT * float(np.dot(w.w, r) / np.sum(w.w))
     return Estimate(
         f_d_hat=f_hat,
-        phi_hat=float(wrap_to_2pi(phi_hat)),
+        phi_hat=phi_hat,
         rho_hat=rho_hat,
         method="WLS",
         residuals=_residuals(series, f_hat, phi_hat, rho_hat, T_m, delta0),

@@ -24,6 +24,11 @@ TWO_PI = 2.0 * math.pi
 _FD_RATIO_WARN = 1e-3
 
 
+def _require_finite(what: str, *xs: float) -> None:
+    if not all(math.isfinite(x) for x in xs):
+        raise ValueError(f"{what} must be finite")
+
+
 @dataclass(frozen=True)
 class ClockTruth:
     """Ground-truth clock pair parameters.
@@ -38,6 +43,7 @@ class ClockTruth:
     phi: float = 0.0
 
     def __post_init__(self):
+        _require_finite("clock parameters", self.f_m, self.f_d, self.phi)
         if not self.f_m > 0.0:
             raise ValueError("f_m must be positive")
         if abs(self.f_d) >= self.f_m:
@@ -71,6 +77,7 @@ class LinkTruth:
     c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
+        _require_finite("link parameters", self.rho, self.delta0, self.c)
         if self.rho < 0.0:
             raise ValueError("rho must be nonnegative")
         if not self.delta0 > 0.0:
@@ -91,6 +98,7 @@ class SampleSchedule:
     N: int
 
     def __post_init__(self):
+        _require_finite("schedule times", self.t0, self.Ts)
         if not self.Ts > 0.0:
             raise ValueError("Ts must be positive")
         if self.N < 2:
@@ -112,6 +120,7 @@ class NoiseSpec:
     sigma_n: float = 0.0
 
     def __post_init__(self):
+        _require_finite("noise standard deviations", self.sigma_v, self.sigma_n)
         if self.sigma_v < 0.0 or self.sigma_n < 0.0:
             raise ValueError("noise standard deviations must be nonnegative")
 
@@ -137,10 +146,10 @@ class RttSeries:
             raise ValueError("times and values must be 1-D")
         if times.shape != values.shape:
             raise ValueError("times and values must have equal length")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise ValueError("times and values must be finite")
         if times.size and not np.all(np.diff(times) > 0.0):
             raise ValueError("times must be strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
 
     def __len__(self) -> int:
         return self.times.size

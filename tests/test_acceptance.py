@@ -200,7 +200,7 @@ def test_criterion_6_noiseless_exactness():
     clock = ClockTruth(1e8, -33.0, 2.0)
     series = generate_series(SampleSchedule(0.0, 1e-3, 1000), clock, LINK)
     grids = SearchGrids.for_schedule(1000, 1e-3)
-    phi_tol = grids.phi_step  # phase identifiability, not refinement, limits
+    phi_tol = TWO_PI / 512  # phase identifiability, not refinement, limits
     eps = 1e-9
 
     details = []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
+from rttsync import estimators
 from rttsync.estimators import (
     Estimate,
     SearchGrids,
@@ -167,8 +168,6 @@ class TestSearchGrids:
         assert g.f_step == pytest.approx(2.5, rel=1e-12)  # 1/(4*N*Ts)
         assert g.f_max == pytest.approx(500.0)
         assert g.F[0] == pytest.approx(-500.0) and g.F[-1] == pytest.approx(500.0)
-        assert g.Phi.size == 512
-        assert g.phi_step == pytest.approx(TWO_PI / 512, rel=1e-12)
 
     def test_rejects_supernyquist_fmax(self):
         with pytest.raises(ValueError):
@@ -234,6 +233,52 @@ class TestUls:
         assert rec["n_used"] == 100 and rec["n_downweighted"] == 0
 
 
+# offset half a step so that no point sits exactly on the wrap phase of a
+# commensurate record, where rounding wraps only part of a repeated group
+DENSE_PHI = (TWO_PI / 20_000) * (np.arange(20_000) + 0.5)
+
+
+def pcp_correlation(series, f, phi):
+    """Signed correlation y0 @ (p - mean(p)) of the mean-removed record with
+    the sawtooth at frequency f and each phase in phi, computed directly."""
+    y0 = series.values - np.mean(series.values)
+    p = np.mod(TWO_PI * f * series.times[None, :] + np.atleast_1d(phi)[:, None], TWO_PI)
+    return (p - p.mean(axis=1, keepdims=True)) @ y0
+
+
+def random_record(rng, n):
+    t = 1e-3 * np.arange(n)
+    b = T_M * rng.uniform(0.0, 2.0, n)
+    wv = rng.uniform(0.2, 2.0, n)
+    wv[rng.random(n) < 0.1] = 0.0  # some samples downweighted
+    wv[0] = 1.0
+    return t, b, wv
+
+
+def noisy_record(seed, f_d, N):
+    rng = np.random.default_rng(seed)
+    clock = ClockTruth(1e8, f_d, float(rng.uniform(0.0, TWO_PI)))
+    noise = NoiseSpec.from_snr(20.0, 20.0, T_M)
+    return generate_series(SampleSchedule(0.0, 1e-3, N), clock, LINK, noise, seed=rng)
+
+
+def pcp_with_score(monkeypatch, series, grids=None, refine=True):
+    """Run PCP and capture the score of the segment its search picked."""
+    picked, best_segment = [], estimators._best_segment
+
+    def spy(cost, c, width):
+        picked.append(best_segment(cost, c, width))
+        return picked[-1]
+
+    if grids is None:
+        grids = SearchGrids.for_schedule(len(series), 1e-3)
+    with monkeypatch.context() as m:
+        m.setattr(estimators, "_best_segment", spy)
+        est = pcp_estimate(series, T_M, LINK.delta0, grids, refine=refine)
+    (_, _, _, cost), = picked
+    return est, -cost
+
+
 class TestPcp:
     @pytest.mark.parametrize("f_d", [-41.0, 41.0, -97.0])
     def test_noiseless_sign_and_frequency(self, f_d):
@@ -260,6 +305,42 @@ class TestPcp:
         coarse = pcp_estimate(series, T_M, link.delta0, g, refine=False)
         fine = pcp_estimate(series, T_M, link.delta0, g, refine=True)
         assert abs(fine.f_d_hat + 32.6) <= abs(coarse.f_d_hat + 32.6) + 1e-12
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dense_phase_grid_never_beats_peak(self, monkeypatch, seed, sign):
+        rng = np.random.default_rng(300 + seed)
+        f_d = sign * float(rng.uniform(5.0, 200.0))
+        series = noisy_record(seed, f_d, int(rng.integers(8, 64)))
+        est, score = pcp_with_score(monkeypatch, series)
+        peak = float(pcp_correlation(series, est.f_d_hat, est.phi_hat)[0])
+        assert peak > 0.0 and 0.0 < est.phi_grid_step <= TWO_PI
+        assert peak == pytest.approx(score, rel=1e-9)
+        # neither slope beats the returned sawtooth at any phase
+        for f in (est.f_d_hat, -est.f_d_hat):
+            assert pcp_correlation(series, f, DENSE_PHI).max() <= peak * (1.0 + 1e-9)
+        # the correlation is flat over the reported segment
+        d = np.mod(DENSE_PHI - est.phi_hat, TWO_PI)
+        inside = np.minimum(d, TWO_PI - d) < 0.45 * est.phi_grid_step
+        np.testing.assert_allclose(
+            pcp_correlation(series, est.f_d_hat, DENSE_PHI[inside]), peak, rtol=1e-9
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_commensurate_record_skips_slivers(self, monkeypatch, seed):
+        # a one-point periodogram grid pins f*Ts = 1/8: every wrap phase
+        # repeats eight times, up to rounding, and no phase wraps only part
+        # of such a group
+        rng = np.random.default_rng(400 + seed)
+        t, b, _ = random_record(rng, 64)
+        series = RttSeries(t, b + LINK.delta0)
+        grids = SearchGrids(F=np.array([0.0, 125.0]), f_max=125.0)
+        est, score = pcp_with_score(monkeypatch, series, grids, refine=False)
+        assert abs(est.f_d_hat) == 125.0 and est.phi_grid_step > 1e-9
+        peak = float(pcp_correlation(series, est.f_d_hat, est.phi_hat)[0])
+        assert peak == pytest.approx(score, rel=1e-9)
+        for f in (est.f_d_hat, -est.f_d_hat):
+            assert pcp_correlation(series, f, DENSE_PHI).max() <= peak * (1.0 + 1e-9)
 
 
 class TestWlsCost:
@@ -302,26 +383,12 @@ class TestWlsCost:
         ) == pytest.approx(0.0, abs=1e-28)
 
 
-# offset half a step so that no point sits exactly on the wrap phase of a
-# commensurate record, where rounding wraps only part of a repeated group
-DENSE_PHI = (TWO_PI / 20_000) * (np.arange(20_000) + 0.5)
-
-
 def direct_costs(b, t, wv, f, phi):
     """Concentrated cost at one frequency and an array of phases, computed
     directly from the template, independently of the search."""
     h = (T_M / TWO_PI) * np.mod(TWO_PI * f * t[None, :] + phi[:, None], TWO_PI)
     r = b[None, :] - h
     return (r * r) @ wv - (r @ wv) ** 2 / wv.sum()
-
-
-def random_record(rng, n):
-    t = 1e-3 * np.arange(n)
-    b = T_M * rng.uniform(0.0, 2.0, n)
-    wv = rng.uniform(0.2, 2.0, n)
-    wv[rng.random(n) < 0.1] = 0.0  # some samples downweighted
-    wv[0] = 1.0
-    return t, b, wv
 
 
 class TestWlsSegmentSearch:
@@ -360,6 +427,19 @@ class TestWlsSegmentSearch:
         t, b, wv = random_record(rng, 64)
         f, phi, width, c_min = _wls_search(b, t, wv, np.array([125.0]), T_M)
         assert width > 1e-9
+        direct = wls_cost(f, phi, RttSeries(t, b), T_M, 0.0, WeightVector(wv))
+        assert direct == pytest.approx(c_min, rel=1e-9)
+        assert direct_costs(b, t, wv, f, DENSE_PHI).min() >= c_min * (1.0 - 1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_one_weights_match_general_path(self, seed):
+        # 0/1 weights take the unit-weight path; doubling them takes the
+        # general path, where every cost doubles exactly
+        rng = np.random.default_rng(300 + seed)
+        t, b, wv = random_record(rng, int(rng.integers(8, 40)))
+        wv = (wv > 0.0).astype(float)
+        f, phi, width, c_min = _wls_search(b, t, wv, self.F, T_M)
+        assert _wls_search(b, t, 2.0 * wv, self.F, T_M) == (f, phi, width, 2.0 * c_min)
         direct = wls_cost(f, phi, RttSeries(t, b), T_M, 0.0, WeightVector(wv))
         assert direct == pytest.approx(c_min, rel=1e-9)
         assert direct_costs(b, t, wv, f, DENSE_PHI).min() >= c_min * (1.0 - 1e-9)

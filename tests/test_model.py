@@ -185,6 +185,41 @@ class TestValidation:
         with pytest.raises(ValueError):
             RttSeries(np.array([0.0, 1.0]), np.array([1.0, np.inf]))
 
+    @pytest.mark.parametrize(
+        "args", [(1e8, math.nan, 0.0), (math.inf, 1.0, 0.0), (1e8, math.inf, 0.0)]
+    )
+    def test_clock_rejects_nonfinite(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            ClockTruth(*args)
+
+    @pytest.mark.parametrize(
+        "args", [(math.nan, 5e-6), (math.inf, 5e-6), (1.0, math.inf), (1.0, math.nan)]
+    )
+    def test_link_rejects_nonfinite(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            LinkTruth(*args)
+
+    @pytest.mark.parametrize(
+        "args", [(math.nan, 0.0), (0.0, math.inf), (math.inf, 0.0), (0.0, math.nan)]
+    )
+    def test_noise_rejects_nonfinite(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSpec(*args)
+
+    @pytest.mark.parametrize(
+        "args", [(math.nan, 1e-3, 10), (0.0, math.inf, 10), (math.inf, 1e-3, 10)]
+    )
+    def test_schedule_rejects_nonfinite(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            SampleSchedule(*args)
+
+    @pytest.mark.parametrize(
+        "times", [[0.0, math.inf], [-math.inf, 0.0], [0.0, math.nan]]
+    )
+    def test_series_rejects_nonfinite_times(self, times):
+        with pytest.raises(ValueError, match="finite"):
+            RttSeries(np.array(times), np.ones(2))
+
     def test_schedule_times(self):
         sched = SampleSchedule(1.0, 0.5, 4)
         np.testing.assert_allclose(sched.times(), [1.0, 1.5, 2.0, 2.5])
