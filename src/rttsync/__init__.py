@@ -28,6 +28,7 @@ from .estimators import (
     phase_error,
     phase_error_seconds,
     preprocess_outliers,
+    residuals,
     robust_weights,
     uls_estimate,
     unwrap,

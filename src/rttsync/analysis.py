@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import Estimate, _residuals
+from .estimators import Estimate, residuals
 from .model import RttSeries
 
 # two-sided 99% Gaussian quantile for the white-noise ACF bound
@@ -68,9 +68,7 @@ def residual_acf(
     n = len(series)
     if not 1 <= max_lag < n:
         raise ValueError("max_lag must lie in [1, N)")
-    r = _residuals(
-        series, estimate.f_d_hat, estimate.phi_hat, estimate.rho_hat, T_m, delta0
-    )
+    r = residuals(series, estimate, T_m, delta0)
     r = r - np.mean(r)
     c0 = float(np.dot(r, r)) / n
     if c0 == 0.0:

@@ -7,6 +7,8 @@ import csv
 import io as _io
 import sys
 
+import numpy as np
+
 from . import analysis, edge_sim, estimators, io, model, montecarlo
 
 
@@ -68,8 +70,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _grids_for(series, args):
-    ts = float(series.times[1] - series.times[0])
-    return estimators.SearchGrids.for_schedule(len(series), ts, f_max=args.f_max)
+    # the grid's Nyquist limit and spacing assume one sampling interval
+    gaps = np.diff(series.times)
+    if gaps.size == 0:
+        raise ValueError("need at least 2 samples")
+    ts = float(gaps[0])
+    if np.any(np.abs(gaps - ts) > 1e-3 * ts):
+        raise ValueError("PCP and WLS need uniformly spaced time stamps")
+    f_max = getattr(args, "f_max", None)
+    return estimators.SearchGrids.for_schedule(len(series), ts, f_max=f_max)
 
 
 def _estimate(series, method: str, args) -> estimators.Estimate:

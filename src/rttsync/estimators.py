@@ -40,7 +40,8 @@ def wrap_to_pm_pi(x):
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Finite nonnegative per-sample weights; at least one must be nonzero."""
+    """0/1 inlier mask: 1 keeps a sample in the fit, 0 drops it as an
+    outlier; at least one sample must be kept."""
 
     w: np.ndarray
 
@@ -49,10 +50,8 @@ class WeightVector:
         object.__setattr__(self, "w", w)
         if w.ndim != 1:
             raise ValueError("weights must be 1-D")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.any(w < 0.0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all((w == 0.0) | (w == 1.0)):
+            raise ValueError("weights must be 0 or 1")
         if not np.any(w > 0.0):
             raise ValueError("all weights are zero")
 
@@ -109,31 +108,31 @@ class SearchGrids:
 class Estimate:
     """Joint estimate of frequency difference (Hz), phase (rad) and range (m).
 
+    weights is the inlier mask the fit used (all ones for ULS and PCP).
     f_grid_step is the final frequency step. For PCP and WLS phi_grid_step
     is the width of the phase segment over which the score is flat at its
-    optimum, i.e. how far phi_hat (with rho_hat) is ambiguous.
+    optimum, i.e. how far phi_hat (with rho_hat) is ambiguous. Residuals
+    come from :func:`residuals`.
     """
 
     f_d_hat: float
     phi_hat: float
     rho_hat: float
     method: str
-    residuals: np.ndarray | None = None
     weights: WeightVector | None = None
     f_grid_step: float | None = None
     phi_grid_step: float | None = None
     degenerate: bool = False
 
     def to_record(self) -> dict:
-        n = self.residuals.size if self.residuals is not None else 0
-        n_down = self.weights.n_downweighted if self.weights is not None else 0
+        w = self.weights
         return {
             "method": self.method,
             "f_d_hat_hz": self.f_d_hat,
             "phi_hat_rad": self.phi_hat,
             "rho_hat_m": self.rho_hat,
-            "n_used": n - n_down,
-            "n_downweighted": n_down,
+            "n_used": w.n_used if w is not None else 0,
+            "n_downweighted": w.n_downweighted if w is not None else 0,
         }
 
 
@@ -207,9 +206,12 @@ def phase_error_seconds(phi_hat: float, phi_true: float, T_m: float) -> float:
     return phase_error(phi_hat, phi_true) * T_m / TWO_PI
 
 
-def _residuals(series, f_d, phi, rho, T_m, delta0):
-    h = sawtooth_template(series.times, f_d, phi, T_m)
-    return series.values - h - delta0 - 2.0 * rho / SPEED_OF_LIGHT
+def residuals(
+    series: RttSeries, estimate: Estimate, T_m: float, delta0: float
+) -> np.ndarray:
+    """Model-fit residuals y - h(t; f_d, phi) - delta0 - 2*rho/c of an estimate."""
+    h = sawtooth_template(series.times, estimate.f_d_hat, estimate.phi_hat, T_m)
+    return series.values - h - delta0 - 2.0 * estimate.rho_hat / SPEED_OF_LIGHT
 
 
 def uls_estimate(series: RttSeries, T_m: float, delta0: float) -> Estimate:
@@ -237,7 +239,7 @@ def uls_estimate(series: RttSeries, T_m: float, delta0: float) -> Estimate:
         phi_hat=phi_hat,
         rho_hat=float(rho_hat),
         method="ULS",
-        residuals=_residuals(series, f_d_hat, phi_hat, rho_hat, T_m, delta0),
+        weights=WeightVector.uniform(len(series)),
     )
 
 
@@ -277,7 +279,7 @@ def pcp_estimate(
             phi_hat=0.0,
             rho_hat=rho_hat,
             method="PCP",
-            residuals=_residuals(series, 0.0, 0.0, rho_hat, T_m, delta0),
+            weights=WeightVector.uniform(len(series)),
             degenerate=True,
         )
 
@@ -309,7 +311,7 @@ def pcp_estimate(
         phi_hat=phi_hat,
         rho_hat=rho_hat,
         method="PCP",
-        residuals=r - 2.0 * rho_hat / SPEED_OF_LIGHT,
+        weights=WeightVector.uniform(r.size),
         f_grid_step=f_step,
         phi_grid_step=phi_width,
     )
@@ -356,58 +358,46 @@ def _best_segment(cost, c, width):
     return i, float(TWO_PI * mid), TWO_PI * float(width[i, j]), float(cost[i, j])
 
 
-def _wls_search(b, t, wv, F, T_m):
-    """Exact minimum of the concentrated cost over F x the continuous circle.
+def _wls_search(b, t, F, T_m):
+    """Exact minimum of the concentrated least-squares cost over F x the
+    continuous circle.
 
     At fixed f let psi = phi/2pi and c_i = 1 - frac(f*t_i), the phase at
     which sample i wraps. The template is T_m*(frac(f*t_i) + psi), less T_m
     once psi >= c_i, so the residual is a_i - T_m*psi + T_m*[psi >= c_i] with
     a_i = b_i - T_m*frac(f*t_i). Profiling out the range removes the common
     -T_m*psi, so the cost is constant on each segment between consecutive
-    sorted c_i, and prefix sums of w and w*a give every segment's cost at
-    once.
+    sorted c_i, and prefix sums of a give every segment's cost at once.
 
     Returns (f, phi at the segment midpoint, segment width in rad, minimum
     cost); ties resolve to the lowest frequency index.
     """
-    keep = wv > 0.0  # zero-weight samples neither cost nor bound a segment
-    t, b, wv = t[keep], b[keep], wv[keep]
-    s = float(np.sum(wv))
-    b = b - np.dot(wv, b) / s
+    n = t.size
+    b = b - b.mean()
     best = (0.0, 0.0, 0.0, math.inf)
-    rows = min(F.size, max(1, _SEARCH_CHUNK // t.size))
+    rows = min(F.size, max(1, _SEARCH_CHUNK // n))
     # one set of work arrays per search, written in place: fresh arrays per
     # block made the page-fault count depend on what the heap held before
-    work = np.empty((8, rows, t.size))
-    # 0/1 weights are all ones after `keep`; then w*a = a, W = j and the last
-    # cost term is one row shared by every frequency, bit for bit
-    ones = bool(np.all(wv == 1.0))
-    if ones:
-        W = np.arange(t.size, dtype=float)
-        curve = T_m**2 * W * (1.0 - W / s)
+    work = np.empty((6, rows, n))
+    # j samples have wrapped on segment j, so the last cost term is one row
+    # shared by every frequency
+    W = np.arange(n, dtype=float)
+    curve = T_m**2 * W * (1.0 - W / n)
     for start in range(0, F.size, rows):
         f_blk = F[start : start + rows]
-        c, width, tmp, a, wa, A, cost, ws = work[:, : f_blk.size]
+        c, width, tmp, a, A, cost = work[:, : f_blk.size]
         c, order, width = _wrap_segments(f_blk, t, (c, width, tmp))
         # a = b[order] - T_m*(1 - c); mode="clip" lets take write into out
         np.take(b, order, out=a, mode="clip")
         a -= np.multiply(np.subtract(1.0, c, out=tmp), T_m, out=tmp)
-        if ones:
-            wa = a
-        else:
-            np.multiply(np.take(wv, order, out=ws, mode="clip"), a, out=wa)
-            W = np.cumsum(ws, axis=1, out=tmp)
-            W -= ws
-            curve = np.subtract(1.0, np.divide(W, s, out=ws), out=ws)
-            curve *= np.multiply(W, T_m**2, out=A)
-        np.cumsum(wa, axis=1, out=A)
-        A -= wa
-        P = np.sum(wa, axis=1, keepdims=True)
-        Q = np.sum(np.multiply(wa, a, out=cost), axis=1, keepdims=True)
-        # cost = Q - P*P/s + 2*T_m*(A - P*W/s) + T_m**2*W*(1 - W/s)
-        np.subtract(A, np.divide(np.multiply(P, W, out=cost), s, out=cost), out=cost)
+        np.cumsum(a, axis=1, out=A)
+        A -= a
+        P = np.sum(a, axis=1, keepdims=True)
+        Q = np.sum(np.multiply(a, a, out=cost), axis=1, keepdims=True)
+        # cost = Q - P*P/n + 2*T_m*(A - P*W/n) + T_m**2*W*(1 - W/n)
+        np.subtract(A, np.divide(np.multiply(P, W, out=cost), n, out=cost), out=cost)
         cost *= 2.0 * T_m
-        cost += Q - P * P / s
+        cost += Q - P * P / n
         cost += curve
         fi, phi, phi_width, c_min = _best_segment(cost, c, width)
         if c_min < best[3]:
@@ -423,10 +413,11 @@ def wls_estimate(
     w: WeightVector | None = None,
     refine: bool = True,
 ) -> Estimate:
-    """Exact search of the concentrated WLS cost over the frequency grid and
-    the continuous phase circle, followed by the closed-form weighted range
-    estimate. With refine=True two local frequency searches each shrink the
-    frequency step tenfold around the minimum.
+    """Exact search of the concentrated least-squares cost over the inliers
+    of the 0/1 mask w (default: every sample), across the frequency grid and
+    the continuous phase circle, followed by the closed-form range estimate.
+    With refine=True two local frequency searches each shrink the frequency
+    step tenfold around the minimum.
 
     At the minimising frequency the cost is flat over a phase segment between
     two wraps; phi_hat is its midpoint and phi_grid_step its width, the exact
@@ -438,13 +429,15 @@ def wls_estimate(
         raise ValueError("weight length mismatch")
     t = series.times
     b = series.values - delta0
+    keep = w.w > 0.0  # dropped samples neither cost nor bound a segment
+    t_in, b_in = t[keep], b[keep]
     f_step = grids.f_step
-    f_hat, phi_hat, phi_width, _ = _wls_search(b, t, w.w, grids.F, T_m)
+    f_hat, phi_hat, phi_width, _ = _wls_search(b_in, t_in, grids.F, T_m)
     if refine:
         for _ in range(_REFINE_LEVELS):
             F_local = f_hat + np.linspace(-f_step, f_step, _REFINE_POINTS)
             F_local = F_local[np.abs(F_local) <= grids.f_max]
-            f_hat, phi_hat, phi_width, _ = _wls_search(b, t, w.w, F_local, T_m)
+            f_hat, phi_hat, phi_width, _ = _wls_search(b_in, t_in, F_local, T_m)
             f_step /= _REFINE_FACTOR
 
     r = b - sawtooth_template(t, f_hat, phi_hat, T_m)
@@ -454,7 +447,6 @@ def wls_estimate(
         phi_hat=phi_hat,
         rho_hat=rho_hat,
         method="WLS",
-        residuals=_residuals(series, f_hat, phi_hat, rho_hat, T_m, delta0),
         weights=w,
         f_grid_step=f_step,
         phi_grid_step=phi_width,

@@ -24,7 +24,6 @@ from .model import (
     NoiseSpec,
     RttSeries,
     SampleSchedule,
-    snr_to_sigma,
 )
 from .montecarlo import ExperimentConfig, OutlierSpec, SweepReport
 
@@ -163,10 +162,9 @@ def read_experiment_config(path: str) -> ExperimentConfig:
         t0=float(sec.get("t0", "0.0")), Ts=float(need("ts")), N=int(need("n"))
     )
     if "snr_c_db" in sec or "snr_j_db" in sec:
-        sigma_n, sigma_v = snr_to_sigma(
+        noise = NoiseSpec.from_snr(
             float(need("snr_c_db")), float(need("snr_j_db")), clock.T_m
         )
-        noise = NoiseSpec(sigma_v=sigma_v, sigma_n=sigma_n)
     else:
         noise = NoiseSpec(
             sigma_v=float(sec.get("sigma_v", "0.0")),

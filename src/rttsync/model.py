@@ -62,11 +62,6 @@ class ClockTruth:
         """Master clock period, seconds."""
         return 1.0 / self.f_m
 
-    @property
-    def f_s(self) -> float:
-        """Slave clock frequency, Hz."""
-        return self.f_m - self.f_d
-
 
 @dataclass(frozen=True)
 class LinkTruth:

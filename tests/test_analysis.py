@@ -8,7 +8,7 @@ from rttsync.analysis import (
     calibrate_range,
     residual_acf,
 )
-from rttsync.estimators import SearchGrids, uls_estimate, wls_estimate
+from rttsync.estimators import SearchGrids, residuals, uls_estimate, wls_estimate
 from rttsync.model import (
     SPEED_OF_LIGHT,
     ClockTruth,
@@ -59,7 +59,8 @@ class TestResidualAcf:
         series = noisy_series(seed=3, N=64)
         est = uls_estimate(series, T_M, LINK.delta0)
         rep = residual_acf(series, est, max_lag=10, T_m=T_M, delta0=LINK.delta0)
-        r = est.residuals - est.residuals.mean()
+        r = residuals(series, est, T_M, LINK.delta0)
+        r = r - r.mean()
         full = np.correlate(r, r, mode="full")[r.size - 1 :]
         np.testing.assert_allclose(rep.acf, full[:11] / full[0], rtol=1e-10)
 

@@ -16,6 +16,7 @@ from rttsync.estimators import (
     phase_error,
     phase_error_seconds,
     preprocess_outliers,
+    residuals,
     robust_weights,
     uls_estimate,
     unwrap,
@@ -25,6 +26,7 @@ from rttsync.estimators import (
     wrap_to_pm_pi,
 )
 from rttsync.model import (
+    SPEED_OF_LIGHT,
     ClockTruth,
     LinkTruth,
     NoiseSpec,
@@ -157,6 +159,12 @@ class TestWeightVector:
         with pytest.raises(ValueError):
             WeightVector(np.array([1.0, bad, 1.0]))
 
+    @pytest.mark.parametrize("bad", [0.5, 2.0])
+    def test_rejects_non_binary(self, bad):
+        # weights are an inlier mask: a sample is kept or dropped
+        with pytest.raises(ValueError):
+            WeightVector(np.array([1.0, bad, 1.0]))
+
     def test_counts(self):
         w = WeightVector(np.array([1.0, 0.0, 1.0, 0.0]))
         assert w.n_used == 2 and w.n_downweighted == 2
@@ -224,7 +232,7 @@ class TestUls:
     def test_residuals_small_when_noiseless(self):
         series, _, link = noiseless(-33.0, 2.0, N=1000)
         est = uls_estimate(series, T_M, link.delta0)
-        assert np.max(np.abs(est.residuals)) < 0.1 * T_M
+        assert np.max(np.abs(residuals(series, est, T_M, link.delta0))) < 0.1 * T_M
 
     def test_record_fields(self):
         series, _, link = noiseless(-32.0, 2.0)
@@ -249,8 +257,7 @@ def pcp_correlation(series, f, phi):
 def random_record(rng, n):
     t = 1e-3 * np.arange(n)
     b = T_M * rng.uniform(0.0, 2.0, n)
-    wv = rng.uniform(0.2, 2.0, n)
-    wv[rng.random(n) < 0.1] = 0.0  # some samples downweighted
+    wv = np.where(rng.random(n) < 0.1, 0.0, 1.0)  # some samples dropped
     wv[0] = 1.0
     return t, b, wv
 
@@ -350,7 +357,7 @@ class TestWlsCost:
         rng = np.random.default_rng(6)
         series, _, link = noiseless(-32.0, 2.0, N=60)
         series = series.with_values(series.values + 2e-10 * rng.standard_normal(60))
-        w = WeightVector(rng.uniform(0.1, 2.0, 60))
+        w = WeightVector(np.where(rng.random(60) < 0.2, 0.0, 1.0))
 
         def full_cost(rho2, f, phi):
             r = (
@@ -383,6 +390,13 @@ class TestWlsCost:
         ) == pytest.approx(0.0, abs=1e-28)
 
 
+def inlier_search(b, t, wv, F):
+    """The segment search over the samples the 0/1 mask keeps, as
+    wls_estimate calls it."""
+    keep = wv > 0.0
+    return _wls_search(b[keep], t[keep], F, T_M)
+
+
 def direct_costs(b, t, wv, f, phi):
     """Concentrated cost at one frequency and an array of phases, computed
     directly from the template, independently of the search."""
@@ -398,12 +412,12 @@ class TestWlsSegmentSearch:
     def test_dense_phase_grid_never_beats_minimum(self, seed):
         rng = np.random.default_rng(seed)
         t, b, wv = random_record(rng, int(rng.integers(8, 40)))
-        f, phi, width, c_min = _wls_search(b, t, wv, self.F, T_M)
+        f, phi, width, c_min = inlier_search(b, t, wv, self.F)
         assert 0.0 < width <= TWO_PI
         brute = direct_costs(b, t, wv, f, DENSE_PHI)
         assert brute.min() >= c_min * (1.0 - 1e-9)
-        # the segment is flat at the minimum and ends where a weighted
-        # sample wraps, so the cost changes just beyond either end
+        # the segment is flat at the minimum and ends where a kept sample
+        # wraps, so the cost changes just beyond either end
         d = np.mod(DENSE_PHI - phi, TWO_PI)
         inside = np.minimum(d, TWO_PI - d) < 0.45 * width
         np.testing.assert_allclose(brute[inside], c_min, rtol=1e-9)
@@ -414,7 +428,7 @@ class TestWlsSegmentSearch:
     def test_reported_minimum_matches_direct_cost(self, seed):
         rng = np.random.default_rng(100 + seed)
         t, b, wv = random_record(rng, int(rng.integers(8, 40)))
-        f, phi, _, c_min = _wls_search(b, t, wv, self.F, T_M)
+        f, phi, _, c_min = inlier_search(b, t, wv, self.F)
         series = RttSeries(t, b + 5e-6)
         direct = wls_cost(f, phi, series, T_M, 5e-6, WeightVector(wv))
         assert direct == pytest.approx(c_min, rel=1e-9)
@@ -425,21 +439,8 @@ class TestWlsSegmentSearch:
         # and no phase wraps only part of such a group
         rng = np.random.default_rng(200 + seed)
         t, b, wv = random_record(rng, 64)
-        f, phi, width, c_min = _wls_search(b, t, wv, np.array([125.0]), T_M)
+        f, phi, width, c_min = inlier_search(b, t, wv, np.array([125.0]))
         assert width > 1e-9
-        direct = wls_cost(f, phi, RttSeries(t, b), T_M, 0.0, WeightVector(wv))
-        assert direct == pytest.approx(c_min, rel=1e-9)
-        assert direct_costs(b, t, wv, f, DENSE_PHI).min() >= c_min * (1.0 - 1e-9)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_zero_one_weights_match_general_path(self, seed):
-        # 0/1 weights take the unit-weight path; doubling them takes the
-        # general path, where every cost doubles exactly
-        rng = np.random.default_rng(300 + seed)
-        t, b, wv = random_record(rng, int(rng.integers(8, 40)))
-        wv = (wv > 0.0).astype(float)
-        f, phi, width, c_min = _wls_search(b, t, wv, self.F, T_M)
-        assert _wls_search(b, t, 2.0 * wv, self.F, T_M) == (f, phi, width, 2.0 * c_min)
         direct = wls_cost(f, phi, RttSeries(t, b), T_M, 0.0, WeightVector(wv))
         assert direct == pytest.approx(c_min, rel=1e-9)
         assert direct_costs(b, t, wv, f, DENSE_PHI).min() >= c_min * (1.0 - 1e-9)
@@ -484,3 +485,66 @@ class TestWlsEstimate:
         g = SearchGrids.for_schedule(N=100, Ts=1e-3)
         with pytest.raises(ValueError):
             wls_estimate(series, T_M, link.delta0, g, w=WeightVector.uniform(99))
+
+
+def record_40db(seed, N, f_d, phi):
+    clock = ClockTruth(1e8, f_d, phi)
+    noise = NoiseSpec.from_snr(40.0, 40.0, T_M)
+    return generate_series(SampleSchedule(0.0, 1e-3, N), clock, LINK, noise, seed=seed)
+
+
+def estimate_all(series):
+    """ULS, PCP and WLS (robust weights) on one record, on the grid of its
+    length, so that shifted copies of a record see the same grid."""
+    g = SearchGrids.for_schedule(len(series), 1e-3)
+    return (
+        uls_estimate(series, T_M, LINK.delta0),
+        pcp_estimate(series, T_M, LINK.delta0, g),
+        wls_estimate(series, T_M, LINK.delta0, g, robust_weights(series)),
+    )
+
+
+records_40db = st.builds(
+    record_40db,
+    st.integers(0, 2**32 - 1),
+    st.integers(16, 200),
+    st.floats(-200.0, 200.0),
+    st.floats(0.0, TWO_PI, exclude_max=True),
+)
+metamorphic = settings(max_examples=25, derandomize=True, deadline=None)
+
+
+class TestMetamorphic:
+    @metamorphic
+    @given(records_40db, st.floats(-1e-6, 1e-6))
+    def test_delay_offset_moves_only_range(self, series, k):
+        # k seconds more on every RTT is 2*rho/c with rho larger by k*c/2
+        shifted = estimate_all(series.with_values(series.values + k))
+        for a, b in zip(estimate_all(series), shifted):
+            assert b.f_d_hat == pytest.approx(a.f_d_hat, abs=1e-9)
+            assert abs(phase_error(b.phi_hat, a.phi_hat)) < 1e-9
+            assert b.rho_hat == pytest.approx(a.rho_hat + 0.5 * k * SPEED_OF_LIGHT, abs=1e-9)
+
+    @metamorphic
+    @given(records_40db, st.floats(-1.0, 1.0))
+    def test_time_shift_moves_phase(self, series, tau):
+        # h(t + tau; phi - 2pi*f*tau) = h(t; phi)
+        shifted = estimate_all(RttSeries(series.times + tau, series.values))
+        for a, b in zip(estimate_all(series), shifted):
+            assert b.f_d_hat == pytest.approx(a.f_d_hat, abs=1e-9)
+            expected = a.phi_hat - TWO_PI * a.f_d_hat * tau
+            assert abs(phase_error(b.phi_hat, expected)) < 1e-9
+
+    @metamorphic
+    @given(records_40db, st.integers(0, 2**32 - 1))
+    def test_zero_weight_equals_deletion(self, series, seed):
+        keep = np.random.default_rng(seed).random(len(series)) >= 0.2
+        keep[0] = True
+        g = SearchGrids.for_schedule(len(series), 1e-3)
+        masked = wls_estimate(series, T_M, LINK.delta0, g, WeightVector(keep.astype(float)))
+        kept = RttSeries(series.times[keep], series.values[keep])
+        deleted = wls_estimate(kept, T_M, LINK.delta0, g)
+        assert (masked.f_d_hat, masked.phi_hat, masked.phi_grid_step) == (
+            deleted.f_d_hat, deleted.phi_hat, deleted.phi_grid_step
+        )
+        assert masked.rho_hat == pytest.approx(deleted.rho_hat, abs=1e-12)

@@ -288,6 +288,38 @@ class TestCli:
         assert lines[0] == "lag,acf,bound"
         assert len(lines) == 22  # header + lags 0..20
 
+    @pytest.mark.parametrize("method", ["pcp", "wls"])
+    def test_residuals_of_search_estimators(self, tmp_path, capsys, method):
+        series_path = tmp_path / "s.csv"
+        cli_main(["simulate", "--f-d", "-32", "-n", "100", "-o", str(series_path)])
+        out_path = tmp_path / "acf.csv"
+        rc = cli_main(
+            ["residuals", str(series_path), "--method", method, "--max-lag", "20",
+             "-o", str(out_path)]
+        )
+        assert rc == 0
+        assert len(out_path.read_text().splitlines()) == 22
+
+    def test_search_estimators_reject_bad_time_stamps(self, tmp_path, capsys):
+        # the grid's Nyquist limit comes from the first gap: 1 us here, 1 ms after
+        t = np.concatenate([[0.0, 1e-6], 1e-6 + 1e-3 * np.arange(1, 199)])
+        series = sample_series(N=200)
+        path = tmp_path / "irregular.csv"
+        write_series(str(path), RttSeries(t, series.values))
+        single = tmp_path / "single.csv"
+        write_series(str(single), RttSeries(t[:1], series.values[:1]))
+        for method in ("pcp", "wls"):
+            assert cli_main(["estimate", str(path), "--method", method]) == 2
+            assert "uniformly spaced" in capsys.readouterr().err
+            assert cli_main(["estimate", str(single), "--method", method]) == 2
+            assert "at least 2 samples" in capsys.readouterr().err
+        # edge-level records, whose emissions snap to master clock edges, pass
+        edge = tmp_path / "edge.csv"
+        cli_main(["simulate", "--generator", "edge", "-n", "100", "-o", str(edge)])
+        assert np.ptp(np.diff(read_series(str(edge)).times)) > 0.0
+        for method in ("pcp", "wls"):
+            assert cli_main(["estimate", str(edge), "--method", method]) == 0
+
     def test_calibrate_command(self, tmp_path):
         pairs_path = tmp_path / "pairs.csv"
         ranges = np.linspace(1.0, 20.0, 10)
