@@ -38,6 +38,11 @@ for value in cfg.sweep_values:
     print()
 
 # With SNR_j at 60 dB instead, the WLS f_d RMSE (N = 100, M = 50, seed 0) at
-# SNR_c 30/40/60 dB falls to 0.111/0.037/0.0 Hz, against 0.145/0.103/0.118 Hz
+# SNR_c 30/40/60 dB falls to 0.113/0.037/0.0 Hz, against 0.116/0.048/0.028 Hz
 # at SNR_j 40 dB: the floor is the jitter, not the search grid.
 print("note the WLS floor at high SNR_c: clock jitter (SNR_j = 40 dB), not the grid")
+# At SNR_c 10 dB the channel noise is 0.32 T_m, about 2 rad of phase on the
+# unit circle where WLS finds its frequency, and that periodogram peak is lost
+# in its noise: WLS falls to a near-uniform guess, while PCP, which
+# correlates on the RTT axis, stays within a few Hz.
+print("note WLS at SNR_c 10 dB: phase noise of ~2 rad hides its frequency peak")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,9 @@ _REFINE_LEVELS = 2
 # Narrower phase segments are rounding slivers between repeated wrap phases
 # (commensurate f*Ts), which no phase can reach.
 _MIN_SEGMENT_RAD = 1e-9
-# Elements per (frequency, sample) work array in the WLS search.
-_SEARCH_CHUNK = 1 << 14
+# Stamps (in sample intervals) and grid frequencies (in FFT bins) this close to
+# an integer are on the FFT lattice: float noise is; edge stamps, ~1e-5 off, not.
+_LATTICE_TOL = 1e-9
 
 
 def wrap_to_2pi(x):
@@ -70,38 +71,42 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class SearchGrids:
-    """Uniform frequency grid for the search estimators."""
+    """Uniform frequency grid for the search estimators, and the sampling
+    interval Ts of the records it was built for."""
 
     F: np.ndarray
     f_max: float
+    Ts: float
 
     def __post_init__(self):
         object.__setattr__(self, "F", np.asarray(self.F, dtype=float))
-        if self.F.size < 2:
-            raise ValueError("grids need at least two points")
+        if self.F.size < 2 or not np.all(np.diff(self.F) > 0.0):
+            raise ValueError("grids need at least two increasing points")
+        if not (math.isfinite(self.Ts) and self.Ts > 0.0):
+            raise ValueError("Ts must be positive and finite")
+        if self.f_max > 1.0 / (2.0 * self.Ts):
+            raise ValueError("f_max exceeds the schedule's Nyquist frequency")
 
     @property
     def f_step(self) -> float:
         return float(self.F[1] - self.F[0])
 
     @classmethod
-    def for_schedule(
-        cls,
-        N: int,
-        Ts: float,
-        f_max: float | None = None,
-    ) -> "SearchGrids":
+    def for_schedule(cls, N: int, Ts: float, f_max: float | None = None) -> "SearchGrids":
         """Default grid: frequency spacing a quarter of the Fourier
         resolution 1/(N*Ts), f_max at the Nyquist rate of the schedule."""
-        nyquist = 1.0 / (2.0 * Ts)
         if f_max is None:
-            f_max = nyquist
-        elif f_max > nyquist:
-            raise ValueError("f_max exceeds the schedule's Nyquist frequency")
+            f_max = 1.0 / (2.0 * Ts)
         df = 1.0 / (4.0 * N * Ts)
         n_half = int(round(f_max / df))
         F = df * np.arange(-n_half, n_half + 1)
-        return cls(F=F, f_max=f_max)
+        return cls(F=F, f_max=f_max, Ts=Ts)
+
+    def check_sampling(self, t: np.ndarray) -> None:
+        """Reject times sampled more coarsely than Ts, beyond the CLI's 1e-3
+        slack: f_max would pass their Nyquist rate and could pick an alias."""
+        if t.size > 1 and np.min(np.diff(t)) > (1.0 + 1e-3) * self.Ts:
+            raise ValueError("record is sampled more coarsely than the grid's Ts")
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,6 @@ class Estimate:
     weights: WeightVector | None = None
     f_grid_step: float | None = None
     phi_grid_step: float | None = None
-    degenerate: bool = False
 
     def to_record(self) -> dict:
         w = self.weights
@@ -245,8 +249,49 @@ def uls_estimate(series: RttSeries, T_m: float, delta0: float) -> Estimate:
 
 def _periodogram(y: np.ndarray, t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """|sum_i y_i exp(-2j pi f t_i)|^2 by direct summation (any sampling)."""
-    phase = np.exp(-2j * math.pi * np.outer(freqs, t))
-    return np.abs(phase @ y) ** 2
+    # one array, written in place: fresh temporaries cost page faults per call
+    phase = np.zeros((freqs.size, t.size), dtype=complex)
+    np.multiply.outer(freqs, t, out=phase.imag)
+    np.multiply(phase.imag, -2.0 * math.pi, out=phase.imag)
+    return np.abs(np.exp(phase, out=phase) @ y) ** 2
+
+
+def _fft_periodogram(y, t, F, grids):
+    """_periodogram over F from one FFT, or None where it does not apply: times
+    off the Ts lattice or spanning over L samples, frequencies off the bins,
+    or an FFT dearer than the direct sum (hand-built grids). With
+    t_i = t_0 + m_i*Ts and f = k/(L*Ts), the sum is exp(-2j pi f t_0) times
+    bin k mod L of the length-L FFT of y placed at m_i; L = 4N by default."""
+    L = round(1.0 / (grids.f_step * grids.Ts))
+    if L < 2 or L * math.log2(L) > F.size * t.size:
+        return None
+    u = (t - t[0]) / grids.Ts
+    m = np.rint(u)
+    k = F * (L * grids.Ts)
+    if m[-1] >= L or max(np.abs(u - m).max(), np.abs(k - np.rint(k)).max()) > _LATTICE_TOL:
+        return None
+    x = np.zeros(L, dtype=y.dtype)
+    np.add.at(x, m.astype(np.intp), y)
+    return np.abs(np.fft.fft(x)[np.rint(k).astype(np.intp) % L]) ** 2
+
+
+def _peak_frequency(y, t, grids, refine, positive=False):
+    """Frequency of the periodogram peak of y over grids.F (its positive half
+    if `positive`), ties to the lowest index, and with refine=True two local
+    searches that each shrink the step tenfold around it. Returns (f, final
+    frequency step)."""
+    F = grids.F[grids.F > 0.0] if positive else grids.F
+    power = _fft_periodogram(y, t, F, grids)
+    if power is None:
+        power = _periodogram(y, t, F)
+    f, f_step = float(F[int(np.argmax(power))]), grids.f_step
+    if refine:
+        for _ in range(_REFINE_LEVELS):
+            local = f + np.linspace(-f_step, f_step, _REFINE_POINTS)
+            local = local[local > 0.0] if positive else local[np.abs(local) <= grids.f_max]
+            f = float(local[int(np.argmax(_periodogram(y, t, local)))])
+            f_step /= _REFINE_FACTOR
+    return f, f_step
 
 
 def pcp_estimate(
@@ -258,40 +303,24 @@ def pcp_estimate(
 ) -> Estimate:
     """Periodogram + correlation peaks.
 
-    Frequency magnitude from the periodogram peak of the mean-removed data,
-    sign and phase from the correlation peak against candidate sawtooths,
-    found exactly over the continuous phase circle, and range from a direct
-    least-squares fit of the leftover constant.
+    Frequency magnitude from the periodogram peak of the mean-removed data
+    over the positive half of the grid, sign and phase from the correlation
+    peak against candidate sawtooths, found exactly over the continuous phase
+    circle, and range from a direct least-squares fit of the leftover
+    constant.
     """
     if len(series) < 4:
         raise ValueError("need at least 4 samples")
     y = series.values
     t = series.times
+    grids.check_sampling(t)
     y0 = y - np.mean(y)
-
-    f_grid = grids.F[grids.F > 0.0]  # periodogram half-grid, DC excluded
-    f_step = grids.f_step
     if not np.any(np.abs(y0) > 1e-15 * max(1.0, np.abs(y).max())):
         # constant series carries no frequency information
         rho_hat = 0.5 * SPEED_OF_LIGHT * float(np.mean(y - delta0))
-        return Estimate(
-            f_d_hat=0.0,
-            phi_hat=0.0,
-            rho_hat=rho_hat,
-            method="PCP",
-            weights=WeightVector.uniform(len(series)),
-            degenerate=True,
-        )
+        return Estimate(0.0, 0.0, rho_hat, "PCP", WeightVector.uniform(len(series)))
 
-    power = _periodogram(y0, t, f_grid)
-    f_mag = float(f_grid[int(np.argmax(power))])
-    if refine:
-        for _ in range(_REFINE_LEVELS):
-            local = f_mag + np.linspace(-f_step, f_step, _REFINE_POINTS)
-            local = local[local > 0.0]
-            power = _periodogram(y0, t, local)
-            f_mag = float(local[int(np.argmax(power))])
-            f_step = f_step / _REFINE_FACTOR
+    f_mag, f_step = _peak_frequency(y0, t, grids, refine, positive=True)
 
     # correlate mean-removed data against sawtooths of either slope, keeping
     # the sign: the constant offset would swamp the peak, and centered
@@ -332,21 +361,16 @@ def wls_cost(
     return float(np.sum(wv * r * r) - np.dot(wv, r) ** 2 / s)
 
 
-def _wrap_segments(F, t, out=None):
+def _wrap_segments(F, t):
     """Per frequency in F, the sorted wrap phases c_i = 1 - frac(f*t_i) in
     cycles, their sort order and each segment's width: column j is the
     segment [c[j-1], c[j]), on which the j samples sorted before it have
-    wrapped; column 0 runs round from c[-1] - 1. `out` may give three
-    (F.size, t.size) arrays to write c, the widths and scratch into."""
-    c, width, raw = np.empty((3, F.size, t.size)) if out is None else out
-    np.multiply.outer(F, t, out=raw)
-    raw -= np.floor(raw, out=c)
-    np.subtract(1.0, raw, out=raw)
+    wrapped; column 0 runs round from c[-1] - 1."""
+    raw = np.multiply.outer(F, t)
+    raw = 1.0 - (raw - np.floor(raw))
     order = np.argsort(raw, axis=1)
-    c[...] = np.take_along_axis(raw, order, axis=1)
-    np.subtract(c[:, 1:], c[:, :-1], out=width[:, 1:])
-    np.subtract(c[:, 0], c[:, -1] - 1.0, out=width[:, 0])
-    return c, order, width
+    c = np.take_along_axis(raw, order, axis=1)
+    return c, order, np.diff(c, axis=1, prepend=c[:, -1:] - 1.0)
 
 
 def _best_segment(cost, c, width):
@@ -358,51 +382,28 @@ def _best_segment(cost, c, width):
     return i, float(TWO_PI * mid), TWO_PI * float(width[i, j]), float(cost[i, j])
 
 
-def _wls_search(b, t, F, T_m):
-    """Exact minimum of the concentrated least-squares cost over F x the
-    continuous circle.
+def _wls_search(b, t, f, T_m):
+    """Exact minimum of the concentrated least-squares cost over the
+    continuous phase circle at frequency f.
 
-    At fixed f let psi = phi/2pi and c_i = 1 - frac(f*t_i), the phase at
-    which sample i wraps. The template is T_m*(frac(f*t_i) + psi), less T_m
-    once psi >= c_i, so the residual is a_i - T_m*psi + T_m*[psi >= c_i] with
+    Let psi = phi/2pi and c_i = 1 - frac(f*t_i), the phase at which sample i
+    wraps. The template is T_m*(frac(f*t_i) + psi), less T_m once psi >= c_i,
+    so the residual is a_i - T_m*psi + T_m*[psi >= c_i] with
     a_i = b_i - T_m*frac(f*t_i). Profiling out the range removes the common
     -T_m*psi, so the cost is constant on each segment between consecutive
     sorted c_i, and prefix sums of a give every segment's cost at once.
 
-    Returns (f, phi at the segment midpoint, segment width in rad, minimum
-    cost); ties resolve to the lowest frequency index.
+    Returns (phi at the segment midpoint, segment width in rad, minimum cost).
     """
     n = t.size
-    b = b - b.mean()
-    best = (0.0, 0.0, 0.0, math.inf)
-    rows = min(F.size, max(1, _SEARCH_CHUNK // n))
-    # one set of work arrays per search, written in place: fresh arrays per
-    # block made the page-fault count depend on what the heap held before
-    work = np.empty((6, rows, n))
-    # j samples have wrapped on segment j, so the last cost term is one row
-    # shared by every frequency
-    W = np.arange(n, dtype=float)
-    curve = T_m**2 * W * (1.0 - W / n)
-    for start in range(0, F.size, rows):
-        f_blk = F[start : start + rows]
-        c, width, tmp, a, A, cost = work[:, : f_blk.size]
-        c, order, width = _wrap_segments(f_blk, t, (c, width, tmp))
-        # a = b[order] - T_m*(1 - c); mode="clip" lets take write into out
-        np.take(b, order, out=a, mode="clip")
-        a -= np.multiply(np.subtract(1.0, c, out=tmp), T_m, out=tmp)
-        np.cumsum(a, axis=1, out=A)
-        A -= a
-        P = np.sum(a, axis=1, keepdims=True)
-        Q = np.sum(np.multiply(a, a, out=cost), axis=1, keepdims=True)
-        # cost = Q - P*P/n + 2*T_m*(A - P*W/n) + T_m**2*W*(1 - W/n)
-        np.subtract(A, np.divide(np.multiply(P, W, out=cost), n, out=cost), out=cost)
-        cost *= 2.0 * T_m
-        cost += Q - P * P / n
-        cost += curve
-        fi, phi, phi_width, c_min = _best_segment(cost, c, width)
-        if c_min < best[3]:
-            best = (float(f_blk[fi]), phi, phi_width, c_min)
-    return best
+    c, order, width = _wrap_segments(np.array([f]), t)
+    a = (b - b.mean())[order] - T_m * (1.0 - c)
+    A = np.cumsum(a, axis=1) - a
+    P, Q = float(np.sum(a)), float(np.sum(a * a))
+    W = np.arange(n, dtype=float)  # j samples have wrapped on segment j
+    cost = Q - P * P / n + 2.0 * T_m * (A - P * W / n) + T_m**2 * W * (1.0 - W / n)
+    _, phi, phi_width, c_min = _best_segment(cost, c, width)
+    return phi, phi_width, c_min
 
 
 def wls_estimate(
@@ -413,32 +414,31 @@ def wls_estimate(
     w: WeightVector | None = None,
     refine: bool = True,
 ) -> Estimate:
-    """Exact search of the concentrated least-squares cost over the inliers
-    of the 0/1 mask w (default: every sample), across the frequency grid and
-    the continuous phase circle, followed by the closed-form range estimate.
-    With refine=True two local frequency searches each shrink the frequency
-    step tenfold around the minimum.
+    """0/1-weighted circular frequency, then exact least-squares phase and
+    range, over the inliers of the 0/1 mask w (default: every sample).
 
-    At the minimising frequency the cost is flat over a phase segment between
-    two wraps; phi_hat is its midpoint and phi_grid_step its width, the exact
-    phase-range ambiguity of the minimum.
+    z_i = exp(2j pi (y_i - delta0)/T_m) is exp(j(2pi f_d t_i + theta)) times
+    phase noise, so a sample that jitter carries across a wrap costs nothing.
+    f_hat is the peak of |sum_i z_i exp(-2j pi f t_i)| over the grid, the
+    single-tone ML frequency estimator (one FFT on the default grid), refined
+    as in PCP. At f_hat the concentrated least-squares cost is flat between
+    wraps; its exact minimum over the phase circle gives phi_hat, the
+    minimising segment's midpoint, and phi_grid_step, its width: the exact
+    phase-range ambiguity there. The range follows in closed form. f_hat is
+    not the global minimiser of that cost (see wls_cost).
     """
     if w is None:
         w = WeightVector.uniform(len(series))
     if w.w.size != len(series):
         raise ValueError("weight length mismatch")
     t = series.times
+    grids.check_sampling(t)
     b = series.values - delta0
-    keep = w.w > 0.0  # dropped samples neither cost nor bound a segment
+    keep = w.w > 0.0  # dropped samples neither score nor bound a segment
     t_in, b_in = t[keep], b[keep]
-    f_step = grids.f_step
-    f_hat, phi_hat, phi_width, _ = _wls_search(b_in, t_in, grids.F, T_m)
-    if refine:
-        for _ in range(_REFINE_LEVELS):
-            F_local = f_hat + np.linspace(-f_step, f_step, _REFINE_POINTS)
-            F_local = F_local[np.abs(F_local) <= grids.f_max]
-            f_hat, phi_hat, phi_width, _ = _wls_search(b_in, t_in, F_local, T_m)
-            f_step /= _REFINE_FACTOR
+    z = np.exp((2j * math.pi / T_m) * b_in)
+    f_hat, f_step = _peak_frequency(z, t_in, grids, refine)
+    phi_hat, phi_width, _ = _wls_search(b_in, t_in, f_hat, T_m)
 
     r = b - sawtooth_template(t, f_hat, phi_hat, T_m)
     rho_hat = 0.5 * SPEED_OF_LIGHT * float(np.dot(w.w, r) / np.sum(w.w))

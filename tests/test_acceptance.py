@@ -157,10 +157,8 @@ def test_criterion_4_outlier_robustness_and_breakdown():
 
 
 @pytest.mark.xfail(
-    reason="frequency-difference sweep in Hz reaches 0.1-0.2 cycles per "
-    "sample where heavy clock jitter (sigma_v = 0.63 rad) makes a constant "
-    "fit overtake the true sawtooth fit in a few percent of trials; the "
-    "refined PCP frequency error is also flat in f_d rather than growing",
+    reason="the refined PCP frequency error is flat in f_d (200 vs 32 Hz) "
+    "rather than growing with it",
     strict=False,
 )
 def test_criterion_5_fd_sensitivity():

@@ -6,10 +6,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from rttsync import estimators
+from rttsync.edge_sim import ExchangeConfig, Oscillator, simulate_campaign
 from rttsync.estimators import (
     Estimate,
     SearchGrids,
     WeightVector,
+    _fft_periodogram,
+    _peak_frequency,
     _periodogram,
     _wls_search,
     pcp_estimate,
@@ -181,6 +184,27 @@ class TestSearchGrids:
         with pytest.raises(ValueError):
             SearchGrids.for_schedule(N=100, Ts=1e-3, f_max=600.0)
 
+    def test_carries_its_sampling_interval(self):
+        assert SearchGrids.for_schedule(N=100, Ts=2e-3).Ts == 2e-3
+
+    @pytest.mark.parametrize(
+        "F, f_max, Ts",
+        [([0.0, 125.0], 125.0, 0.0), ([0.0, 125.0], 125.0, math.nan),
+         ([125.0, 0.0], 125.0, 1e-3), ([0.0, 600.0], 600.0, 1e-3)],
+    )
+    def test_rejects_bad_grids(self, F, f_max, Ts):
+        with pytest.raises(ValueError):
+            SearchGrids(F=np.array(F), f_max=f_max, Ts=Ts)
+
+    @pytest.mark.parametrize("method", [pcp_estimate, wls_estimate])
+    def test_rejects_record_coarser_than_grid(self, method):
+        # a grid for Ts = 0.1 ms reaches 5 kHz, ten times the Nyquist rate of
+        # a 1 ms record: without the check PCP returned 3687.75 Hz and WLS
+        # -4999.75 Hz, next to the grid edge, for this -32 Hz record
+        series = noisy_record(0, -32.0, 200)
+        with pytest.raises(ValueError, match="coarsely"):
+            method(series, T_M, LINK.delta0, SearchGrids.for_schedule(200, 1e-4))
+
 
 class TestPhaseError:
     def test_wraps_short_way(self):
@@ -213,6 +237,79 @@ class TestPeriodogram:
         assert f_grid[np.argmax(_periodogram(y, t, f_grid))] == pytest.approx(
             60.0, abs=g.f_step
         )
+
+
+def lattice_case(seed, N, t0, drop, f_max):
+    """A seeded record on the Ts = 1 ms lattice with a fraction `drop` of its
+    samples left out, its grid, and both periodogram inputs: the circular z
+    of WLS (full grid) and the mean-removed y of PCP (positive half)."""
+    rng = np.random.default_rng(seed)
+    clock = ClockTruth(1e8, float(rng.uniform(-450.0, 450.0)), float(rng.uniform(0.0, TWO_PI)))
+    noise = NoiseSpec.from_snr(20.0, 20.0, T_M)
+    series = generate_series(SampleSchedule(t0, 1e-3, N), clock, LINK, noise, seed=rng)
+    keep = rng.random(N) >= drop
+    t, y = series.times[keep], series.values[keep]
+    grids = SearchGrids.for_schedule(N, 1e-3, f_max=f_max)
+    z = np.exp((2j * math.pi / T_M) * (y - LINK.delta0))
+    return t, grids, ((z, grids.F), (y - y.mean(), grids.F[grids.F > 0.0]))
+
+
+LATTICE_CASES = [
+    (100, 0.0, 0.0, None),
+    (101, 0.37, 0.1, None),
+    (257, 12.5, 0.3, 120.0),
+    (333, -2.0, 0.0, 50.0),
+    (1000, 0.0, 0.05, 333.3),
+]
+
+
+class TestFftPeriodogram:
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("N, t0, drop, f_max", LATTICE_CASES)
+    def test_matches_direct_sum(self, seed, N, t0, drop, f_max):
+        t, grids, inputs = lattice_case(800 + seed, N, t0, drop, f_max)
+        for x, F in inputs:
+            fft = _fft_periodogram(x, t, F, grids)
+            direct = _periodogram(x, t, F)
+            assert fft is not None
+            np.testing.assert_allclose(fft, direct, rtol=1e-12, atol=1e-12 * direct.max())
+            assert np.argmax(fft) == np.argmax(direct)
+
+    def test_nyquist_pair_tie_goes_to_lowest_index(self):
+        # +-f_max share one FFT bin, so their scores tie exactly
+        t = 1e-3 * np.arange(64)
+        z = np.exp(1j * (math.pi * np.arange(64) + 0.3))
+        grids = SearchGrids.for_schedule(64, 1e-3)
+        assert _peak_frequency(z, t, grids, refine=False) == (-500.0, grids.f_step)
+
+    def test_off_lattice_times_take_direct_sum(self):
+        t = 1e-3 * np.arange(50)
+        t[7] += 1e-8  # one stamp a clock cycle late
+        grids = SearchGrids.for_schedule(50, 1e-3)
+        assert _fft_periodogram(np.ones(50), t, grids.F, grids) is None
+        assert _fft_periodogram(np.ones(50), 1e-3 * np.arange(50), grids.F, grids) is not None
+
+    def test_hand_built_grid_takes_direct_sum(self):
+        # bins of 1/(8 Ts) cannot hold a 64-sample record
+        grids = SearchGrids(F=np.array([0.0, 125.0]), f_max=125.0, Ts=1e-3)
+        assert _fft_periodogram(np.ones(64), 1e-3 * np.arange(64), grids.F, grids) is None
+
+    def test_edge_record_takes_direct_sum_and_estimates(self):
+        # master-edge snapping moves the stamps by up to one clock cycle,
+        # about 1e-5 of the gap: off the FFT lattice, as in the CLI
+        master = Oscillator(f0=1e8, varphi=0.0)
+        slave = Oscillator.from_frequency(1e8, 1e8 + 32.0, varphi=0.0)
+        series = simulate_campaign(
+            master, slave, ExchangeConfig(K=500, rho=2.0), SampleSchedule(0.0, 1e-3, 200)
+        )
+        gaps = np.diff(series.times)
+        assert 1e-6 < np.ptp(gaps) / gaps[0] < 1e-3
+        grids = SearchGrids.for_schedule(200, float(gaps[0]))
+        z = np.exp((2j * math.pi / T_M) * (series.values - 5e-6))
+        assert _fft_periodogram(z, series.times, grids.F, grids) is None
+        est = wls_estimate(series, T_M, 5e-6, grids, robust_weights(series))
+        assert est.f_d_hat == pytest.approx(-32.0, abs=0.05)
+        assert est.rho_hat == pytest.approx(2.0, abs=0.02)
 
 
 class TestUls:
@@ -303,8 +400,7 @@ class TestPcp:
         series, _, link = noiseless(0.0, 0.5, N=50)
         g = SearchGrids.for_schedule(N=50, Ts=1e-3)
         est = pcp_estimate(series, T_M, link.delta0, g)
-        assert est.degenerate
-        assert est.f_d_hat == 0.0
+        assert est.f_d_hat == 0.0 and est.f_grid_step is None
 
     def test_refine_tightens_frequency(self):
         series, _, link = noiseless(-32.6, 1.0, N=200)
@@ -341,7 +437,7 @@ class TestPcp:
         rng = np.random.default_rng(400 + seed)
         t, b, _ = random_record(rng, 64)
         series = RttSeries(t, b + LINK.delta0)
-        grids = SearchGrids(F=np.array([0.0, 125.0]), f_max=125.0)
+        grids = SearchGrids(F=np.array([0.0, 125.0]), f_max=125.0, Ts=1e-3)
         est, score = pcp_with_score(monkeypatch, series, grids, refine=False)
         assert abs(est.f_d_hat) == 125.0 and est.phi_grid_step > 1e-9
         peak = float(pcp_correlation(series, est.f_d_hat, est.phi_hat)[0])
@@ -391,10 +487,13 @@ class TestWlsCost:
 
 
 def inlier_search(b, t, wv, F):
-    """The segment search over the samples the 0/1 mask keeps, as
-    wls_estimate calls it."""
+    """Global minimum of the concentrated least-squares cost over the grid F
+    and the phase circle, on the samples the 0/1 mask keeps: the exact
+    one-frequency search at each f, ties to the lowest f. Returns (f, phi,
+    segment width, cost)."""
     keep = wv > 0.0
-    return _wls_search(b[keep], t[keep], F, T_M)
+    rows = [(f, *_wls_search(b[keep], t[keep], f, T_M)) for f in F]
+    return min(rows, key=lambda row: row[3])
 
 
 def direct_costs(b, t, wv, f, phi):
@@ -480,6 +579,22 @@ class TestWlsEstimate:
         assert 0.0 < est.phi_grid_step <= TWO_PI
         assert abs(phase_error(est.phi_hat, 2.0)) <= est.phi_grid_step / 2.0
 
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_grid_frequency_beats_peak(self, seed, refine):
+        # on the direct circular score of the inliers
+        rng = np.random.default_rng(500 + seed)
+        N = int(rng.integers(20, 300))
+        series = noisy_record(seed, float(rng.uniform(-400.0, 400.0)), N)
+        w = robust_weights(series)
+        g = SearchGrids.for_schedule(N, 1e-3)
+        est = wls_estimate(series, T_M, LINK.delta0, g, w, refine=refine)
+        keep = w.w > 0.0
+        t = series.times[keep]
+        z = np.exp((2j * math.pi / T_M) * (series.values[keep] - LINK.delta0))
+        peak = _periodogram(z, t, np.array([est.f_d_hat]))[0]
+        assert _periodogram(z, t, g.F).max() <= peak * (1.0 + 1e-12)
+
     def test_weight_length_mismatch(self):
         series, _, link = noiseless(-32.0, 2.0, N=100)
         g = SearchGrids.for_schedule(N=100, Ts=1e-3)
@@ -548,3 +663,15 @@ class TestMetamorphic:
             deleted.f_d_hat, deleted.phi_hat, deleted.phi_grid_step
         )
         assert masked.rho_hat == pytest.approx(deleted.rho_hat, abs=1e-12)
+
+    @metamorphic
+    @given(records_40db)
+    def test_reversal_negates_frequency(self, series):
+        # h(T - t; f, phi) = h(t; -f, phi + 2pi*f*T)
+        T = series.times[0] + series.times[-1]
+        flipped = RttSeries(T - series.times[::-1], series.values[::-1])
+        for a, b in zip(estimate_all(series), estimate_all(flipped)):
+            assert b.f_d_hat == pytest.approx(-a.f_d_hat, abs=1e-9)
+            expected = a.phi_hat + TWO_PI * a.f_d_hat * T
+            assert abs(phase_error(b.phi_hat, expected)) < 1e-9
+            assert b.rho_hat == pytest.approx(a.rho_hat, abs=1e-9)
