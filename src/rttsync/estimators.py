@@ -19,7 +19,7 @@ from .model import SPEED_OF_LIGHT, TWO_PI, RttSeries, sawtooth_template
 NMAD_FACTOR = 1.483
 
 _REFINE_FACTOR = 10
-_REFINE_POINTS = 21
+_REFINE_POINTS = 2 * _REFINE_FACTOR + 1  # +-one step, at a tenth of it
 _REFINE_LEVELS = 2
 # Narrower phase segments are rounding slivers between repeated wrap phases
 # (commensurate f*Ts), which no phase can reach.
@@ -27,6 +27,8 @@ _MIN_SEGMENT_RAD = 1e-9
 # Stamps (in sample intervals) and grid frequencies (in FFT bins) this close to
 # an integer are on the FFT lattice: float noise is; edge stamps, ~1e-5 off, not.
 _LATTICE_TOL = 1e-9
+# Rows per block of the direct-sum periodogram.
+_BLOCK_ROWS = 64
 
 
 def wrap_to_2pi(x):
@@ -80,8 +82,12 @@ class SearchGrids:
 
     def __post_init__(self):
         object.__setattr__(self, "F", np.asarray(self.F, dtype=float))
-        if self.F.size < 2 or not np.all(np.diff(self.F) > 0.0):
+        steps = np.diff(self.F)
+        if self.F.size < 2 or not np.all(steps > 0.0):
             raise ValueError("grids need at least two increasing points")
+        # the periodogram kernel and the FFT lattice step every row by f_step
+        if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
+            raise ValueError("grid frequencies must be evenly spaced")
         if not (math.isfinite(self.Ts) and self.Ts > 0.0):
             raise ValueError("Ts must be positive and finite")
         if self.f_max > 1.0 / (2.0 * self.Ts):
@@ -98,7 +104,7 @@ class SearchGrids:
         if f_max is None:
             f_max = 1.0 / (2.0 * Ts)
         df = 1.0 / (4.0 * N * Ts)
-        n_half = int(round(f_max / df))
+        n_half = math.floor(f_max / df + 1e-9)  # the slack keeps f_max = n*df on the grid
         F = df * np.arange(-n_half, n_half + 1)
         return cls(F=F, f_max=f_max, Ts=Ts)
 
@@ -247,13 +253,22 @@ def uls_estimate(series: RttSeries, T_m: float, delta0: float) -> Estimate:
     )
 
 
-def _periodogram(y: np.ndarray, t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """|sum_i y_i exp(-2j pi f t_i)|^2 by direct summation (any sampling)."""
-    # one array, written in place: fresh temporaries cost page faults per call
-    phase = np.zeros((freqs.size, t.size), dtype=complex)
-    np.multiply.outer(freqs, t, out=phase.imag)
-    np.multiply(phase.imag, -2.0 * math.pi, out=phase.imag)
-    return np.abs(np.exp(phase, out=phase) @ y) ** 2
+def _periodogram(y, t, f0, df, K):
+    """|sum_i y_i exp(-2j pi (f0 + k*df) t_i)|^2 for k = 0..K-1 by direct
+    summation (any sampling). Row k of the phasor matrix is row k-1 times
+    w = exp(-2j pi df t), so each block of _BLOCK_ROWS rows costs one exp row
+    besides w. Each block restarts from an exact exp at its first frequency,
+    which bounds the rounding growth and the work array (1 MB at N = 1000)."""
+    w = np.exp((-2j * math.pi * df) * t)
+    rows = np.empty((min(K, _BLOCK_ROWS), t.size), dtype=complex)
+    power = np.empty(K)
+    for k0 in range(0, K, _BLOCK_ROWS):
+        n = min(_BLOCK_ROWS, K - k0)
+        np.exp((-2j * math.pi * (f0 + k0 * df)) * t, out=rows[0])
+        for k in range(1, n):
+            np.multiply(rows[k - 1], w, out=rows[k])
+        power[k0:k0 + n] = np.abs(rows[:n] @ y) ** 2
+    return power
 
 
 def _fft_periodogram(y, t, F, grids):
@@ -278,19 +293,24 @@ def _fft_periodogram(y, t, F, grids):
 def _peak_frequency(y, t, grids, refine, positive=False):
     """Frequency of the periodogram peak of y over grids.F (its positive half
     if `positive`), ties to the lowest index, and with refine=True two local
-    searches that each shrink the step tenfold around it. Returns (f, final
-    frequency step)."""
+    searches of _REFINE_POINTS frequencies that each shrink the step tenfold
+    around it, kept within 0 < f <= f_max (|f| <= f_max if not `positive`).
+    The FFT gives the coarse stage where it applies; the direct-sum kernel
+    gives the rest. Returns (f, final frequency step)."""
     F = grids.F[grids.F > 0.0] if positive else grids.F
     power = _fft_periodogram(y, t, F, grids)
     if power is None:
-        power = _periodogram(y, t, F)
+        power = _periodogram(y, t, F[0], grids.f_step, F.size)
     f, f_step = float(F[int(np.argmax(power))]), grids.f_step
     if refine:
         for _ in range(_REFINE_LEVELS):
             local = f + np.linspace(-f_step, f_step, _REFINE_POINTS)
-            local = local[local > 0.0] if positive else local[np.abs(local) <= grids.f_max]
-            f = float(local[int(np.argmax(_periodogram(y, t, local)))])
             f_step /= _REFINE_FACTOR
+            power = _periodogram(y, t, local[0], f_step, _REFINE_POINTS)
+            keep = np.abs(local) <= grids.f_max
+            if positive:
+                keep &= local > 0.0
+            f = float(local[keep][int(np.argmax(power[keep]))])
     return f, f_step
 
 

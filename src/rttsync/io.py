@@ -58,16 +58,20 @@ def write_series(path: str, series: RttSeries) -> None:
 
 
 def read_series(path: str) -> RttSeries:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != SERIES_HEADER:
-        raise ValueError(f"{path}: expected header {','.join(SERIES_HEADER)}")
-    if len(rows) < 2:
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n")
+        if tuple(header.split(",")) != SERIES_HEADER:
+            raise ValueError(f"{path}: expected header {','.join(SERIES_HEADER)}")
+        body = fh.read()
+    if not body.strip():
         raise ValueError(f"{path}: no samples")
     try:
-        data = np.array([[float(r[0]), float(r[1])] for r in rows[1:]])
-    except (ValueError, IndexError) as exc:
+        # comments=None: a '#' line is a malformed row, not a comment
+        data = np.loadtxt(_io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
         raise ValueError(f"{path}: malformed CSV row: {exc}") from None
+    if data.shape[1] != 2:
+        raise ValueError(f"{path}: malformed CSV row: {data.shape[1]} columns, expected 2")
     return RttSeries(data[:, 0], data[:, 1])
 
 

@@ -194,7 +194,7 @@ def run_trial(cfg: ExperimentConfig, sweep_value: float, trial_seed) -> dict:
 def _summary(errors: np.ndarray) -> dict:
     rmse = float(np.sqrt(np.mean(errors**2))) if errors.size else math.nan
     if errors.size:
-        p25, p50, p75 = (float(np.percentile(errors, q)) for q in (25, 50, 75))
+        p25, p50, p75 = np.percentile(errors, (25, 50, 75)).tolist()
         lo, hi = float(errors.min()), float(errors.max())
     else:
         p25 = p50 = p75 = lo = hi = math.nan

@@ -196,6 +196,30 @@ class TestSearchGrids:
         with pytest.raises(ValueError):
             SearchGrids(F=np.array(F), f_max=f_max, Ts=Ts)
 
+    @pytest.mark.parametrize("step", [2.0, 1.0 + 1e-7])
+    def test_rejects_uneven_grid(self, step):
+        with pytest.raises(ValueError, match="evenly"):
+            SearchGrids(F=np.array([0.0, 1.0, 1.0 + step]), f_max=3.0, Ts=1e-3)
+
+    # at N=110, f_max/df is 219.99999999999997: the Nyquist edge stays
+    @pytest.mark.parametrize(
+        "N, f_max, last", [(1000, 333.4, 333.25), (333, 50.0, 66 / 1.332), (110, 500.0, 500.0)]
+    )
+    def test_grid_ends_at_or_below_fmax(self, N, f_max, last):
+        g = SearchGrids.for_schedule(N, 1e-3, f_max=f_max)
+        assert g.F[-1] == pytest.approx(last, rel=1e-12)
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("f_d", [-50.4, 50.4])
+    @pytest.mark.parametrize("method", [pcp_estimate, wls_estimate])
+    def test_estimate_within_fmax(self, method, f_d, refine):
+        # a tone just past an f_max that falls between grid steps pulls the
+        # peak to the grid edge; neither the edge nor a refinement may pass it
+        series = noisy_record(3, f_d, 333)
+        g = SearchGrids.for_schedule(333, 1e-3, f_max=50.0)
+        est = method(series, T_M, LINK.delta0, g, refine=refine)
+        assert abs(est.f_d_hat) <= 50.0
+
     @pytest.mark.parametrize("method", [pcp_estimate, wls_estimate])
     def test_rejects_record_coarser_than_grid(self, method):
         # a grid for Ts = 0.1 ms reaches 5 kHz, ten times the Nyquist rate of
@@ -217,6 +241,43 @@ class TestPhaseError:
         )
 
 
+def direct_periodogram(y, t, F):
+    """|sum_i y_i exp(-2j pi f t_i)|^2 at every f in F from one F x N matrix
+    of complex exponentials: the exact direct sum the kernels are held to."""
+    phase = np.zeros((F.size, t.size), dtype=complex)
+    phase.imag = -2.0 * math.pi * np.multiply.outer(F, t)
+    return np.abs(np.exp(phase) @ y) ** 2
+
+
+def assert_matches_direct(power, direct):
+    np.testing.assert_allclose(power, direct, rtol=1e-12, atol=1e-12 * direct.max())
+
+
+def edge_record(N=200):
+    """N=200 edge-simulated record at f_d = -32 Hz: master-edge snapping moves
+    the stamps by up to one clock cycle, about 1e-5 of the gap, off the FFT
+    lattice, as in the CLI."""
+    master = Oscillator(f0=1e8, varphi=0.0)
+    slave = Oscillator.from_frequency(1e8, 1e8 + 32.0, varphi=0.0)
+    return simulate_campaign(
+        master, slave, ExchangeConfig(K=500, rho=2.0), SampleSchedule(0.0, 1e-3, N)
+    )
+
+
+def kernel_record(kind, seed):
+    """(times, grid, (WLS z, PCP y0)) of a lattice, off-lattice or edge record."""
+    if kind == "edge":
+        series = edge_record()
+        t = series.times
+        y0 = series.values - series.values.mean()
+        z = np.exp((2j * math.pi / T_M) * (series.values - LINK.delta0))
+        return t, SearchGrids.for_schedule(t.size, float(t[1] - t[0])), (z, y0)
+    t, grids, ((z, _), (y0, _)) = lattice_case(seed, 200, 0.37, 0.1, None)
+    if kind == "off-lattice":
+        t = t + 1e-3 * np.random.default_rng(seed).uniform(0.0, 0.3, t.size)
+    return t, grids, (z, y0)
+
+
 class TestPeriodogram:
     def test_against_naive_sum(self):
         rng = np.random.default_rng(5)
@@ -227,16 +288,28 @@ class TestPeriodogram:
             abs(sum(y[i] * np.exp(-2j * math.pi * f * t[i]) for i in range(32))) ** 2
             for f in freqs
         ]
-        np.testing.assert_allclose(_periodogram(y, t, freqs), expected, rtol=1e-10)
+        np.testing.assert_allclose(direct_periodogram(y, t, freqs), expected, rtol=1e-10)
+
+    # row counts on either side of the kernel's 64-row blocks, and the full grid
+    @pytest.mark.parametrize("K", [1, 63, 64, 65, None])
+    @pytest.mark.parametrize("kind", ["lattice", "off-lattice", "edge"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_kernel_matches_direct_sum(self, seed, kind, K):
+        t, grids, inputs = kernel_record(kind, 820 + seed)
+        K = grids.F.size if K is None else K
+        start = int(np.random.default_rng(seed).integers(0, grids.F.size - K + 1))
+        F = grids.F[start:start + K]
+        for x in inputs:
+            power = _periodogram(x, t, F[0], grids.f_step, K)
+            assert_matches_direct(power, direct_periodogram(x, t, F))
 
     def test_peak_at_tone(self):
         t = 1e-3 * np.arange(200)
         y = np.sin(TWO_PI * 60.0 * t)
         g = SearchGrids.for_schedule(N=200, Ts=1e-3)
         f_grid = g.F[g.F > 0.0]
-        assert f_grid[np.argmax(_periodogram(y, t, f_grid))] == pytest.approx(
-            60.0, abs=g.f_step
-        )
+        power = _periodogram(y, t, f_grid[0], g.f_step, f_grid.size)
+        assert f_grid[np.argmax(power)] == pytest.approx(60.0, abs=g.f_step)
 
 
 def lattice_case(seed, N, t0, drop, f_max):
@@ -270,9 +343,9 @@ class TestFftPeriodogram:
         t, grids, inputs = lattice_case(800 + seed, N, t0, drop, f_max)
         for x, F in inputs:
             fft = _fft_periodogram(x, t, F, grids)
-            direct = _periodogram(x, t, F)
+            direct = direct_periodogram(x, t, F)
             assert fft is not None
-            np.testing.assert_allclose(fft, direct, rtol=1e-12, atol=1e-12 * direct.max())
+            assert_matches_direct(fft, direct)
             assert np.argmax(fft) == np.argmax(direct)
 
     def test_nyquist_pair_tie_goes_to_lowest_index(self):
@@ -295,13 +368,7 @@ class TestFftPeriodogram:
         assert _fft_periodogram(np.ones(64), 1e-3 * np.arange(64), grids.F, grids) is None
 
     def test_edge_record_takes_direct_sum_and_estimates(self):
-        # master-edge snapping moves the stamps by up to one clock cycle,
-        # about 1e-5 of the gap: off the FFT lattice, as in the CLI
-        master = Oscillator(f0=1e8, varphi=0.0)
-        slave = Oscillator.from_frequency(1e8, 1e8 + 32.0, varphi=0.0)
-        series = simulate_campaign(
-            master, slave, ExchangeConfig(K=500, rho=2.0), SampleSchedule(0.0, 1e-3, 200)
-        )
+        series = edge_record()
         gaps = np.diff(series.times)
         assert 1e-6 < np.ptp(gaps) / gaps[0] < 1e-3
         grids = SearchGrids.for_schedule(200, float(gaps[0]))
@@ -592,8 +659,8 @@ class TestWlsEstimate:
         keep = w.w > 0.0
         t = series.times[keep]
         z = np.exp((2j * math.pi / T_M) * (series.values[keep] - LINK.delta0))
-        peak = _periodogram(z, t, np.array([est.f_d_hat]))[0]
-        assert _periodogram(z, t, g.F).max() <= peak * (1.0 + 1e-12)
+        peak = direct_periodogram(z, t, np.array([est.f_d_hat]))[0]
+        assert direct_periodogram(z, t, g.F).max() <= peak * (1.0 + 1e-12)
 
     def test_weight_length_mismatch(self):
         series, _, link = noiseless(-32.0, 2.0, N=100)

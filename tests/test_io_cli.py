@@ -66,20 +66,51 @@ class TestSeriesCsv:
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1.0,2.0\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad.csv"):
             read_series(str(path))
 
     def test_rejects_malformed_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t_seconds,y_seconds\n1.0,not_a_number\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad.csv"):
             read_series(str(path))
 
     def test_rejects_empty_body(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("t_seconds,y_seconds\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty.csv"):
             read_series(str(path))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "t_seconds,y_seconds\n\n",
+            "t_seconds,y_seconds\n1.0,2.0\n3.0\n",
+            "t_seconds,y_seconds\n1.0\n",
+            "t_seconds,y_seconds\n1.0,2.0,3.0\n",
+            "t_seconds,y_seconds\n# comment\n1.0,2.0\n",
+            "t_seconds,y_seconds\n1.0,2.0 # comment\n",
+        ],
+        ids=["no-header", "blank-body", "one-column-row", "one-column", "three-columns",
+             "comment-line", "trailing-comment"],
+    )
+    def test_rejects_bad_rows_naming_file(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad.csv"):
+            read_series(str(path))
+
+    @pytest.mark.parametrize(
+        "body", ["1.0,2.0\r\n3.0,4.0\r\n", "1.0,2.0\n\n3.0,4.0\n\n", "1.0,2.0\n3.0,4.0"]
+    )
+    def test_crlf_blank_lines_and_last_newline(self, tmp_path, body):
+        # CRLF rows parse as LF rows; blank lines are skipped
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"t_seconds,y_seconds\r\n" + body.encode())
+        back = read_series(str(path))
+        np.testing.assert_array_equal(back.times, [1.0, 3.0])
+        np.testing.assert_array_equal(back.values, [2.0, 4.0])
 
 
 class TestAtomicWrite:

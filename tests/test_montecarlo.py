@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+
+from rttsync.io import report_to_csv
 
 from rttsync.model import ClockTruth, LinkTruth, NoiseSpec, SampleSchedule
 from rttsync.montecarlo import (
@@ -126,6 +130,17 @@ class TestRunSweep:
         r1 = run_sweep(cfg)
         r2 = run_sweep(cfg)
         assert r1.rows == r2.rows
+
+    def test_report_bits_pinned(self):
+        # ULS+PCP+WLS with outliers, M=6 so that every percentile
+        # interpolates; any change to an estimate or a statistic moves the
+        # digest of the report's shortest round-trip text
+        cfg = base_config(
+            M=6, outliers=OutlierSpec(fraction=0.05), sweep_axis="snr_c",
+            sweep_values=(20.0, 40.0),
+        )
+        digest = hashlib.sha256(report_to_csv(run_sweep(cfg)).encode()).hexdigest()
+        assert digest == "8f7351e89ae9ab038ab0cdfc729e2410bbe6e834030977f50bf0b283ff1805b3"
 
     def test_rmse_accessor(self):
         cfg = base_config(estimators=("ULS",))
