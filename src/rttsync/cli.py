@@ -32,10 +32,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--t0", type=float, default=0.0)
     sim.add_argument("--ts", type=float, default=1e-3)
     sim.add_argument("-n", "--samples", type=int, default=100)
-    sim.add_argument("--snr-c-db", type=float, default=None)
-    sim.add_argument("--snr-j-db", type=float, default=None)
-    sim.add_argument("--sigma-n", type=float, default=0.0)
-    sim.add_argument("--sigma-v", type=float, default=0.0)
+    sim.add_argument("--snr-c-db", type=float, default=None, help="(model)")
+    sim.add_argument("--snr-j-db", type=float, default=None, help="(model)")
+    sim.add_argument("--sigma-n", type=float, default=None, help="channel noise, s (model)")
+    sim.add_argument("--sigma-v", type=float, default=None, help="clock jitter, rad (model)")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("-o", "--output", required=True)
 
@@ -103,9 +103,13 @@ def _cmd_simulate(args) -> int:
                 raise ValueError("--snr-c-db and --snr-j-db must be given together")
             noise = model.NoiseSpec.from_snr(args.snr_c_db, args.snr_j_db, clock.T_m)
         else:
-            noise = model.NoiseSpec(sigma_v=args.sigma_v, sigma_n=args.sigma_n)
+            noise = model.NoiseSpec(sigma_v=args.sigma_v or 0.0, sigma_n=args.sigma_n or 0.0)
         series = model.generate_series(schedule, clock, link, noise, seed=args.seed)
     else:
+        noise_flags = (args.snr_c_db, args.snr_j_db, args.sigma_n, args.sigma_v)
+        if any(v is not None for v in noise_flags):
+            raise ValueError("the edge generator is noiseless: --snr-c-db, --snr-j-db, "
+                             "--sigma-n and --sigma-v need --generator model")
         master = edge_sim.Oscillator(f0=args.f_m, varphi=args.master_varphi)
         slave = edge_sim.Oscillator.from_frequency(
             f0=args.f_m, f=args.f_m - args.f_d, varphi=args.slave_varphi

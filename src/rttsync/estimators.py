@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,9 +24,6 @@ _REFINE_LEVELS = 2
 # Narrower phase segments are rounding slivers between repeated wrap phases
 # (commensurate f*Ts), which no phase can reach.
 _MIN_SEGMENT_RAD = 1e-9
-# Stamps (in sample intervals) and grid frequencies (in FFT bins) this close to
-# an integer are on the FFT lattice: float noise is; edge stamps, ~1e-5 off, not.
-_LATTICE_TOL = 1e-9
 # Rows per block of the direct-sum periodogram.
 _BLOCK_ROWS = 64
 
@@ -73,25 +70,27 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class SearchGrids:
-    """Uniform frequency grid for the search estimators, and the sampling
-    interval Ts of the records it was built for."""
+    """Frequency grid of the search estimators, F = k/(n_fft*Ts) for |k| <= n:
+    the bins of a length-n_fft FFT up to the last at or below f_max, for
+    records sampled every Ts."""
 
-    F: np.ndarray
+    n_fft: int
     f_max: float
     Ts: float
+    F: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "F", np.asarray(self.F, dtype=float))
-        steps = np.diff(self.F)
-        if self.F.size < 2 or not np.all(steps > 0.0):
-            raise ValueError("grids need at least two increasing points")
-        # the periodogram kernel and the FFT lattice step every row by f_step
-        if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
-            raise ValueError("grid frequencies must be evenly spaced")
         if not (math.isfinite(self.Ts) and self.Ts > 0.0):
             raise ValueError("Ts must be positive and finite")
-        if self.f_max > 1.0 / (2.0 * self.Ts):
+        if not self.f_max <= 1.0 / (2.0 * self.Ts):
             raise ValueError("f_max exceeds the schedule's Nyquist frequency")
+        if not (isinstance(self.n_fft, (int, np.integer)) and self.n_fft > 0):
+            raise ValueError("n_fft must be a positive integer")
+        df = 1.0 / (self.n_fft * self.Ts)
+        if not self.f_max >= df:
+            raise ValueError("f_max is below one grid step")
+        n_half = math.floor(self.f_max / df + 1e-9)  # the slack keeps f_max = n*df on the grid
+        object.__setattr__(self, "F", df * np.arange(-n_half, n_half + 1))
 
     @property
     def f_step(self) -> float:
@@ -101,12 +100,7 @@ class SearchGrids:
     def for_schedule(cls, N: int, Ts: float, f_max: float | None = None) -> "SearchGrids":
         """Default grid: frequency spacing a quarter of the Fourier
         resolution 1/(N*Ts), f_max at the Nyquist rate of the schedule."""
-        if f_max is None:
-            f_max = 1.0 / (2.0 * Ts)
-        df = 1.0 / (4.0 * N * Ts)
-        n_half = math.floor(f_max / df + 1e-9)  # the slack keeps f_max = n*df on the grid
-        F = df * np.arange(-n_half, n_half + 1)
-        return cls(F=F, f_max=f_max, Ts=Ts)
+        return cls(4 * N, 1.0 / (2.0 * Ts) if f_max is None else f_max, Ts)
 
     def check_sampling(self, t: np.ndarray) -> None:
         """Reject times sampled more coarsely than Ts, beyond the CLI's 1e-3
@@ -255,10 +249,11 @@ def uls_estimate(series: RttSeries, T_m: float, delta0: float) -> Estimate:
 
 def _periodogram(y, t, f0, df, K):
     """|sum_i y_i exp(-2j pi (f0 + k*df) t_i)|^2 for k = 0..K-1 by direct
-    summation (any sampling). Row k of the phasor matrix is row k-1 times
-    w = exp(-2j pi df t), so each block of _BLOCK_ROWS rows costs one exp row
-    besides w. Each block restarts from an exact exp at its first frequency,
-    which bounds the rounding growth and the work array (1 MB at N = 1000)."""
+    summation on the exact stamps: the refinement kernel. Row k of the phasor
+    matrix is row k-1 times w = exp(-2j pi df t), so each block of
+    _BLOCK_ROWS rows costs one exp row besides w. Each block restarts from an
+    exact exp at its first frequency, which bounds the rounding growth and
+    the work array."""
     w = np.exp((-2j * math.pi * df) * t)
     rows = np.empty((min(K, _BLOCK_ROWS), t.size), dtype=complex)
     power = np.empty(K)
@@ -271,37 +266,32 @@ def _periodogram(y, t, f0, df, K):
     return power
 
 
-def _fft_periodogram(y, t, F, grids):
-    """_periodogram over F from one FFT, or None where it does not apply: times
-    off the Ts lattice or spanning over L samples, frequencies off the bins,
-    or an FFT dearer than the direct sum (hand-built grids). With
-    t_i = t_0 + m_i*Ts and f = k/(L*Ts), the sum is exp(-2j pi f t_0) times
-    bin k mod L of the length-L FFT of y placed at m_i; L = 4N by default."""
-    L = round(1.0 / (grids.f_step * grids.Ts))
-    if L < 2 or L * math.log2(L) > F.size * t.size:
-        return None
-    u = (t - t[0]) / grids.Ts
-    m = np.rint(u)
-    k = F * (L * grids.Ts)
-    if m[-1] >= L or max(np.abs(u - m).max(), np.abs(k - np.rint(k)).max()) > _LATTICE_TOL:
-        return None
+def _fft_periodogram(y, t, grids, positive=False):
+    """Periodogram of y over grids.F (its positive half if `positive`) from
+    one FFT of length L = n_fft, y placed at m_i = rint((t_i - t_0)/Ts) mod L.
+    Each grid f is a bin k/(L*Ts), so the sum is exp(-2j pi f t_0) times bin
+    k mod L: exact on the Ts lattice however long the record; stamps off it
+    are rounded (the refinement sums over the exact ones)."""
+    L = grids.n_fft
+    m = np.rint((t - t[0]) / grids.Ts).astype(np.intp) % L
     x = np.zeros(L, dtype=y.dtype)
-    np.add.at(x, m.astype(np.intp), y)
-    return np.abs(np.fft.fft(x)[np.rint(k).astype(np.intp) % L]) ** 2
+    np.add.at(x, m, y)
+    n_half = grids.F.size // 2
+    k = np.arange(1 if positive else -n_half, n_half + 1)
+    return np.abs(np.fft.fft(x)[k % L]) ** 2
 
 
 def _peak_frequency(y, t, grids, refine, positive=False):
     """Frequency of the periodogram peak of y over grids.F (its positive half
-    if `positive`), ties to the lowest index, and with refine=True two local
-    searches of _REFINE_POINTS frequencies that each shrink the step tenfold
-    around it, kept within 0 < f <= f_max (|f| <= f_max if not `positive`).
-    The FFT gives the coarse stage where it applies; the direct-sum kernel
-    gives the rest. Returns (f, final frequency step)."""
+    if `positive`) from the FFT, ties to the lowest index and clipped to
+    |f| <= f_max, and with refine=True two local searches of _REFINE_POINTS
+    frequencies that each shrink the step tenfold around it, kept within
+    0 < f <= f_max (|f| <= f_max if not `positive`). Returns (f, final
+    frequency step)."""
     F = grids.F[grids.F > 0.0] if positive else grids.F
-    power = _fft_periodogram(y, t, F, grids)
-    if power is None:
-        power = _periodogram(y, t, F[0], grids.f_step, F.size)
-    f, f_step = float(F[int(np.argmax(power))]), grids.f_step
+    f = float(F[int(np.argmax(_fft_periodogram(y, t, grids, positive)))])
+    # the grid edge n*df can round one ulp past f_max
+    f, f_step = min(max(f, -grids.f_max), grids.f_max), grids.f_step
     if refine:
         for _ in range(_REFINE_LEVELS):
             local = f + np.linspace(-f_step, f_step, _REFINE_POINTS)
@@ -440,7 +430,7 @@ def wls_estimate(
     z_i = exp(2j pi (y_i - delta0)/T_m) is exp(j(2pi f_d t_i + theta)) times
     phase noise, so a sample that jitter carries across a wrap costs nothing.
     f_hat is the peak of |sum_i z_i exp(-2j pi f t_i)| over the grid, the
-    single-tone ML frequency estimator (one FFT on the default grid), refined
+    single-tone ML frequency estimator (one FFT over the grid's bins), refined
     as in PCP. At f_hat the concentrated least-squares cost is flat between
     wraps; its exact minimum over the phase circle gives phi_hat, the
     minimising segment's midpoint, and phi_grid_step, its width: the exact

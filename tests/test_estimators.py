@@ -36,6 +36,7 @@ from rttsync.model import (
     RttSeries,
     SampleSchedule,
     generate_series,
+    rtt_sample,
     sawtooth_template,
 )
 
@@ -176,6 +177,7 @@ class TestWeightVector:
 class TestSearchGrids:
     def test_default_spacing_and_extent(self):
         g = SearchGrids.for_schedule(N=100, Ts=1e-3)
+        assert g.n_fft == 400 and g.F.size == 401
         assert g.f_step == pytest.approx(2.5, rel=1e-12)  # 1/(4*N*Ts)
         assert g.f_max == pytest.approx(500.0)
         assert g.F[0] == pytest.approx(-500.0) and g.F[-1] == pytest.approx(500.0)
@@ -188,18 +190,16 @@ class TestSearchGrids:
         assert SearchGrids.for_schedule(N=100, Ts=2e-3).Ts == 2e-3
 
     @pytest.mark.parametrize(
-        "F, f_max, Ts",
-        [([0.0, 125.0], 125.0, 0.0), ([0.0, 125.0], 125.0, math.nan),
-         ([125.0, 0.0], 125.0, 1e-3), ([0.0, 600.0], 600.0, 1e-3)],
+        "n_fft, f_max, Ts",
+        [(400, 125.0, 0.0), (400, 125.0, math.nan), (400, 600.0, 1e-3),
+         (400, math.nan, 1e-3), (400, 2.0, 1e-3), (5, 100.0, 1e-3),
+         (0, 125.0, 1e-3), (400.0, 125.0, 1e-3)],
+        ids=["ts-zero", "ts-nan", "past-nyquist", "f-max-nan", "below-one-step",
+             "step-past-f-max", "n-fft-zero", "n-fft-float"],
     )
-    def test_rejects_bad_grids(self, F, f_max, Ts):
+    def test_rejects_bad_grids(self, n_fft, f_max, Ts):
         with pytest.raises(ValueError):
-            SearchGrids(F=np.array(F), f_max=f_max, Ts=Ts)
-
-    @pytest.mark.parametrize("step", [2.0, 1.0 + 1e-7])
-    def test_rejects_uneven_grid(self, step):
-        with pytest.raises(ValueError, match="evenly"):
-            SearchGrids(F=np.array([0.0, 1.0, 1.0 + step]), f_max=3.0, Ts=1e-3)
+            SearchGrids(n_fft, f_max, Ts)
 
     # at N=110, f_max/df is 219.99999999999997: the Nyquist edge stays
     @pytest.mark.parametrize(
@@ -253,12 +253,12 @@ def assert_matches_direct(power, direct):
     np.testing.assert_allclose(power, direct, rtol=1e-12, atol=1e-12 * direct.max())
 
 
-def edge_record(N=200):
-    """N=200 edge-simulated record at f_d = -32 Hz: master-edge snapping moves
-    the stamps by up to one clock cycle, about 1e-5 of the gap, off the FFT
-    lattice, as in the CLI."""
+def edge_record(N=200, f_d=-32.0):
+    """Edge-simulated record (default N=200 at f_d = -32 Hz): master-edge
+    snapping moves the stamps by up to one clock cycle, about 1e-5 of the
+    gap, off the FFT lattice, as in the CLI."""
     master = Oscillator(f0=1e8, varphi=0.0)
-    slave = Oscillator.from_frequency(1e8, 1e8 + 32.0, varphi=0.0)
+    slave = Oscillator.from_frequency(1e8, 1e8 - f_d, varphi=0.0)
     return simulate_campaign(
         master, slave, ExchangeConfig(K=500, rho=2.0), SampleSchedule(0.0, 1e-3, N)
     )
@@ -272,7 +272,7 @@ def kernel_record(kind, seed):
         y0 = series.values - series.values.mean()
         z = np.exp((2j * math.pi / T_M) * (series.values - LINK.delta0))
         return t, SearchGrids.for_schedule(t.size, float(t[1] - t[0])), (z, y0)
-    t, grids, ((z, _), (y0, _)) = lattice_case(seed, 200, 0.37, 0.1, None)
+    t, grids, ((z, _, _), (y0, _, _)) = lattice_case(seed, 200, 0.37, 0.1, None)
     if kind == "off-lattice":
         t = t + 1e-3 * np.random.default_rng(seed).uniform(0.0, 0.3, t.size)
     return t, grids, (z, y0)
@@ -312,68 +312,97 @@ class TestPeriodogram:
         assert f_grid[np.argmax(power)] == pytest.approx(60.0, abs=g.f_step)
 
 
-def lattice_case(seed, N, t0, drop, f_max):
+def lattice_case(seed, N, t0, drop, f_max, n_grid=None):
     """A seeded record on the Ts = 1 ms lattice with a fraction `drop` of its
-    samples left out, its grid, and both periodogram inputs: the circular z
-    of WLS (full grid) and the mean-removed y of PCP (positive half)."""
+    samples left out, the grid for n_grid samples (default N), and both
+    periodogram inputs with their grid and half: the circular z of WLS (full
+    grid) and the mean-removed y of PCP (positive half)."""
     rng = np.random.default_rng(seed)
     clock = ClockTruth(1e8, float(rng.uniform(-450.0, 450.0)), float(rng.uniform(0.0, TWO_PI)))
     noise = NoiseSpec.from_snr(20.0, 20.0, T_M)
     series = generate_series(SampleSchedule(t0, 1e-3, N), clock, LINK, noise, seed=rng)
     keep = rng.random(N) >= drop
     t, y = series.times[keep], series.values[keep]
-    grids = SearchGrids.for_schedule(N, 1e-3, f_max=f_max)
+    grids = SearchGrids.for_schedule(n_grid or N, 1e-3, f_max=f_max)
     z = np.exp((2j * math.pi / T_M) * (y - LINK.delta0))
-    return t, grids, ((z, grids.F), (y - y.mean(), grids.F[grids.F > 0.0]))
+    return t, grids, ((z, grids.F, False), (y - y.mean(), grids.F[grids.F > 0.0], True))
+
+
+def lattice_param(N, t0, drop, f_max, n_grid=None):
+    # the id names n_grid only where the grid is built for another length
+    grid = "" if n_grid is None else f"-grid{n_grid}"
+    return pytest.param(N, t0, drop, f_max, n_grid, id=f"{N}-{t0}-{drop}-{f_max}{grid}")
 
 
 LATTICE_CASES = [
-    (100, 0.0, 0.0, None),
-    (101, 0.37, 0.1, None),
-    (257, 12.5, 0.3, 120.0),
-    (333, -2.0, 0.0, 50.0),
-    (1000, 0.0, 0.05, 333.3),
+    lattice_param(100, 0.0, 0.0, None),
+    lattice_param(101, 0.37, 0.1, None),
+    lattice_param(257, 12.5, 0.3, 120.0),
+    lattice_param(333, -2.0, 0.0, 50.0),
+    lattice_param(1000, 0.0, 0.05, 333.3),
+    # 600 samples on the grid for 100: the record spans 1.5 FFT lengths and folds
+    lattice_param(600, 0.37, 0.1, None, n_grid=100),
 ]
+
+
+def rounded_record(kind, seed):
+    """(times, grid, (WLS z, PCP y0)) of a record whose stamps the FFT must
+    round onto its lattice: edge-simulated, jittered by up to 0.49 Ts, or
+    sampled 0.3-0.9x finer than the grid's Ts."""
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(50, 400))
+    clock = ClockTruth(1e8, float(rng.uniform(-400.0, 400.0)), float(rng.uniform(0.0, TWO_PI)))
+    ts = 1e-3
+    if kind == "edge":
+        series = edge_record(N, clock.f_d)
+        t, y, ts = series.times, series.values, float(series.times[1] - series.times[0])
+    else:
+        if kind == "jittered":
+            t = 0.37 + ts * (np.arange(N) + rng.uniform(-0.49, 0.49, N))
+        else:
+            t = 0.37 + ts * rng.uniform(0.3, 0.9) * np.arange(N)
+        noise = NoiseSpec.from_snr(20.0, 20.0, T_M)
+        v, n = rng.normal(0.0, [[noise.sigma_v], [noise.sigma_n]], (2, N))
+        y = rtt_sample(t, clock, LINK, v, n)
+    z = np.exp((2j * math.pi / T_M) * (y - LINK.delta0))
+    return t, SearchGrids.for_schedule(N, ts), (z, y - y.mean())
 
 
 class TestFftPeriodogram:
     @pytest.mark.parametrize("seed", range(2))
-    @pytest.mark.parametrize("N, t0, drop, f_max", LATTICE_CASES)
-    def test_matches_direct_sum(self, seed, N, t0, drop, f_max):
-        t, grids, inputs = lattice_case(800 + seed, N, t0, drop, f_max)
-        for x, F in inputs:
-            fft = _fft_periodogram(x, t, F, grids)
+    @pytest.mark.parametrize("N, t0, drop, f_max, n_grid", LATTICE_CASES)
+    def test_matches_direct_sum(self, seed, N, t0, drop, f_max, n_grid):
+        t, grids, inputs = lattice_case(800 + seed, N, t0, drop, f_max, n_grid)
+        for x, F, positive in inputs:
+            fft = _fft_periodogram(x, t, grids, positive)
             direct = direct_periodogram(x, t, F)
-            assert fft is not None
             assert_matches_direct(fft, direct)
             assert np.argmax(fft) == np.argmax(direct)
 
+    @pytest.mark.parametrize("kind", ["edge", "jittered", "finer"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rounded_stamps_peak_within_one_bin(self, seed, kind):
+        t, grids, (z, y0) = rounded_record(kind, 840 + seed)
+        for x, F, positive in ((z, grids.F, False), (y0, grids.F[grids.F > 0.0], True)):
+            fft = _fft_periodogram(x, t, grids, positive)
+            assert abs(int(np.argmax(fft)) - int(np.argmax(direct_periodogram(x, t, F)))) <= 1
+
     def test_nyquist_pair_tie_goes_to_lowest_index(self):
-        # +-f_max share one FFT bin, so their scores tie exactly
-        t = 1e-3 * np.arange(64)
-        z = np.exp(1j * (math.pi * np.arange(64) + 0.3))
-        grids = SearchGrids.for_schedule(64, 1e-3)
-        assert _peak_frequency(z, t, grids, refine=False) == (-500.0, grids.f_step)
-
-    def test_off_lattice_times_take_direct_sum(self):
-        t = 1e-3 * np.arange(50)
-        t[7] += 1e-8  # one stamp a clock cycle late
-        grids = SearchGrids.for_schedule(50, 1e-3)
-        assert _fft_periodogram(np.ones(50), t, grids.F, grids) is None
-        assert _fft_periodogram(np.ones(50), 1e-3 * np.arange(50), grids.F, grids) is not None
-
-    def test_hand_built_grid_takes_direct_sum(self):
-        # bins of 1/(8 Ts) cannot hold a 64-sample record
-        grids = SearchGrids(F=np.array([0.0, 125.0]), f_max=125.0, Ts=1e-3)
-        assert _fft_periodogram(np.ones(64), 1e-3 * np.arange(64), grids.F, grids) is None
+        # +-f_max share one FFT bin, so their scores tie exactly; at N=110 the
+        # grid edge is one ulp past f_max, and the peak is clipped back to it
+        for N in (64, 110):
+            t = 1e-3 * np.arange(N)
+            z = np.exp(1j * (math.pi * np.arange(N) + 0.3))
+            grids = SearchGrids.for_schedule(N, 1e-3)
+            assert _peak_frequency(z, t, grids, refine=False) == (-500.0, grids.f_step)
 
     def test_edge_record_takes_direct_sum_and_estimates(self):
+        # the FFT rounds the stamps onto the Ts lattice; refinement's direct
+        # sum on the exact stamps gives the estimate
         series = edge_record()
         gaps = np.diff(series.times)
         assert 1e-6 < np.ptp(gaps) / gaps[0] < 1e-3
         grids = SearchGrids.for_schedule(200, float(gaps[0]))
-        z = np.exp((2j * math.pi / T_M) * (series.values - 5e-6))
-        assert _fft_periodogram(z, series.times, grids.F, grids) is None
         est = wls_estimate(series, T_M, 5e-6, grids, robust_weights(series))
         assert est.f_d_hat == pytest.approx(-32.0, abs=0.05)
         assert est.rho_hat == pytest.approx(2.0, abs=0.02)
@@ -504,7 +533,7 @@ class TestPcp:
         rng = np.random.default_rng(400 + seed)
         t, b, _ = random_record(rng, 64)
         series = RttSeries(t, b + LINK.delta0)
-        grids = SearchGrids(F=np.array([0.0, 125.0]), f_max=125.0, Ts=1e-3)
+        grids = SearchGrids(8, 125.0, 1e-3)
         est, score = pcp_with_score(monkeypatch, series, grids, refine=False)
         assert abs(est.f_d_hat) == 125.0 and est.phi_grid_step > 1e-9
         peak = float(pcp_correlation(series, est.f_d_hat, est.phi_hat)[0])

@@ -276,6 +276,17 @@ class TestCli:
         series = read_series(str(path))
         assert len(series) == 50
 
+    @pytest.mark.parametrize(
+        "flags", [["--snr-c-db", "10", "--snr-j-db", "10"], ["--sigma-n", "1e-6"],
+                  ["--sigma-v", "0.1"], ["--snr-c-db", "10"]],
+    )
+    def test_edge_generator_rejects_noise_flags(self, tmp_path, capsys, flags):
+        path = tmp_path / "edge.csv"
+        rc = cli_main(["simulate", "--generator", "edge", "-n", "50", *flags, "-o", str(path)])
+        assert rc == 2
+        assert "noiseless" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_estimate_wls_to_file(self, tmp_path):
         series_path = tmp_path / "s.csv"
         cli_main(["simulate", "--f-d", "-32", "-n", "60", "-o", str(series_path)])
