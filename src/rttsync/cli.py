@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io as _io
 import sys
 
@@ -12,6 +13,15 @@ import numpy as np
 from . import analysis, edge_sim, estimators, io, model, montecarlo
 
 
+# Flags that only one generator reads, with the value each takes when not given.
+_GENERATOR_FLAGS = {
+    "model": dict(phi=0.0, delta0=5e-6, seed=0, snr_c_db=None, snr_j_db=None, sigma_n=None,
+                  sigma_v=None),
+    "edge": dict(k=500, master_varphi=0.0, slave_varphi=0.0),
+}
+
+
+@functools.cache  # parse_args never mutates the parser, and no default is mutable
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rttsync",
@@ -23,20 +33,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--generator", choices=("model", "edge"), default="model")
     sim.add_argument("--f-m", type=float, default=1e8, help="master clock frequency, Hz")
     sim.add_argument("--f-d", type=float, default=-32.0, help="frequency difference, Hz")
-    sim.add_argument("--phi", type=float, default=0.0, help="clock offset, rad (model)")
+    sim.add_argument("--phi", type=float, help="clock offset, rad (model; default 0)")
     sim.add_argument("--rho", type=float, default=2.0, help="range, m")
-    sim.add_argument("--delta0", type=float, default=5e-6, help="slave delay, s (model)")
-    sim.add_argument("--k", type=int, default=500, help="delay cycles (edge)")
-    sim.add_argument("--master-varphi", type=float, default=0.0)
-    sim.add_argument("--slave-varphi", type=float, default=0.0)
+    sim.add_argument("--delta0", type=float, help="slave delay, s (model; default 5e-6)")
+    sim.add_argument("--k", type=int, help="delay cycles (edge; default 500)")
+    sim.add_argument("--master-varphi", type=float, help="first edge, s (edge; default 0)")
+    sim.add_argument("--slave-varphi", type=float, help="first edge, s (edge; default 0)")
     sim.add_argument("--t0", type=float, default=0.0)
     sim.add_argument("--ts", type=float, default=1e-3)
     sim.add_argument("-n", "--samples", type=int, default=100)
-    sim.add_argument("--snr-c-db", type=float, default=None, help="(model)")
-    sim.add_argument("--snr-j-db", type=float, default=None, help="(model)")
-    sim.add_argument("--sigma-n", type=float, default=None, help="channel noise, s (model)")
-    sim.add_argument("--sigma-v", type=float, default=None, help="clock jitter, rad (model)")
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--snr-c-db", type=float, help="(model)")
+    sim.add_argument("--snr-j-db", type=float, help="(model)")
+    sim.add_argument("--sigma-n", type=float, help="channel noise, s (model)")
+    sim.add_argument("--sigma-v", type=float, help="clock jitter, rad (model)")
+    sim.add_argument("--seed", type=int, help="(model; default 0)")
     sim.add_argument("-o", "--output", required=True)
 
     est = sub.add_parser("estimate", help="estimate parameters from a series CSV")
@@ -94,6 +104,12 @@ def _estimate(series, method: str, args) -> estimators.Estimate:
 
 
 def _cmd_simulate(args) -> int:
+    opts, other = vars(args), "edge" if args.generator == "model" else "model"
+    stray = [f"--{k.replace('_', '-')}" for k in _GENERATOR_FLAGS[other] if opts[k] is not None]
+    if stray:
+        why = "the edge generator is noiseless and deterministic: " if other == "model" else ""
+        raise ValueError(f"{why}{', '.join(stray)} need --generator {other}")
+    opts.update({k: v for k, v in _GENERATOR_FLAGS[args.generator].items() if opts[k] is None})
     schedule = model.SampleSchedule(t0=args.t0, Ts=args.ts, N=args.samples)
     if args.generator == "model":
         clock = model.ClockTruth(f_m=args.f_m, f_d=args.f_d, phi=args.phi)
@@ -101,15 +117,13 @@ def _cmd_simulate(args) -> int:
         if args.snr_c_db is not None or args.snr_j_db is not None:
             if args.snr_c_db is None or args.snr_j_db is None:
                 raise ValueError("--snr-c-db and --snr-j-db must be given together")
+            if args.sigma_n is not None or args.sigma_v is not None:
+                raise ValueError("give --snr-c-db/--snr-j-db or --sigma-n/--sigma-v, not both")
             noise = model.NoiseSpec.from_snr(args.snr_c_db, args.snr_j_db, clock.T_m)
         else:
             noise = model.NoiseSpec(sigma_v=args.sigma_v or 0.0, sigma_n=args.sigma_n or 0.0)
         series = model.generate_series(schedule, clock, link, noise, seed=args.seed)
     else:
-        noise_flags = (args.snr_c_db, args.snr_j_db, args.sigma_n, args.sigma_v)
-        if any(v is not None for v in noise_flags):
-            raise ValueError("the edge generator is noiseless: --snr-c-db, --snr-j-db, "
-                             "--sigma-n and --sigma-v need --generator model")
         master = edge_sim.Oscillator(f0=args.f_m, varphi=args.master_varphi)
         slave = edge_sim.Oscillator.from_frequency(
             f0=args.f_m, f=args.f_m - args.f_d, varphi=args.slave_varphi

@@ -24,8 +24,6 @@ _REFINE_LEVELS = 2
 # Narrower phase segments are rounding slivers between repeated wrap phases
 # (commensurate f*Ts), which no phase can reach.
 _MIN_SEGMENT_RAD = 1e-9
-# Rows per block of the direct-sum periodogram.
-_BLOCK_ROWS = 64
 
 
 def wrap_to_2pi(x):
@@ -249,21 +247,17 @@ def uls_estimate(series: RttSeries, T_m: float, delta0: float) -> Estimate:
 
 def _periodogram(y, t, f0, df, K):
     """|sum_i y_i exp(-2j pi (f0 + k*df) t_i)|^2 for k = 0..K-1 by direct
-    summation on the exact stamps: the refinement kernel. Row k of the phasor
-    matrix is row k-1 times w = exp(-2j pi df t), so each block of
-    _BLOCK_ROWS rows costs one exp row besides w. Each block restarts from an
-    exact exp at its first frequency, which bounds the rounding growth and
-    the work array."""
+    summation on the exact stamps: the refinement kernel. Row 0 of the
+    (K, N) phasor matrix is an exact exp at f0 and row k is row k-1 times
+    w = exp(-2j pi df t), so the K rows cost two exp rows. Refinement asks
+    for _REFINE_POINTS rows, few enough that the rounding of the recurrence
+    stays near machine precision."""
     w = np.exp((-2j * math.pi * df) * t)
-    rows = np.empty((min(K, _BLOCK_ROWS), t.size), dtype=complex)
-    power = np.empty(K)
-    for k0 in range(0, K, _BLOCK_ROWS):
-        n = min(_BLOCK_ROWS, K - k0)
-        np.exp((-2j * math.pi * (f0 + k0 * df)) * t, out=rows[0])
-        for k in range(1, n):
-            np.multiply(rows[k - 1], w, out=rows[k])
-        power[k0:k0 + n] = np.abs(rows[:n] @ y) ** 2
-    return power
+    rows = np.empty((K, t.size), dtype=complex)
+    np.exp((-2j * math.pi * f0) * t, out=rows[0])
+    for k in range(1, K):
+        np.multiply(rows[k - 1], w, out=rows[k])
+    return np.abs(rows @ y) ** 2
 
 
 def _fft_periodogram(y, t, grids, positive=False):

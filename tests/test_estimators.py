@@ -290,7 +290,7 @@ class TestPeriodogram:
         ]
         np.testing.assert_allclose(direct_periodogram(y, t, freqs), expected, rtol=1e-10)
 
-    # row counts on either side of the kernel's 64-row blocks, and the full grid
+    # from one row to the full grid, where the recurrence runs longest
     @pytest.mark.parametrize("K", [1, 63, 64, 65, None])
     @pytest.mark.parametrize("kind", ["lattice", "off-lattice", "edge"])
     @pytest.mark.parametrize("seed", range(2))

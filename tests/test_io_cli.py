@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from rttsync.analysis import calibrate_range
-from rttsync.cli import cli_main
-from rttsync.estimators import uls_estimate
+from rttsync.cli import _build_parser, cli_main
+from rttsync.estimators import SearchGrids, robust_weights, uls_estimate, wls_estimate
 from rttsync.io import (
     atomic_write_text,
     curve_to_json,
@@ -278,14 +278,44 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flags", [["--snr-c-db", "10", "--snr-j-db", "10"], ["--sigma-n", "1e-6"],
-                  ["--sigma-v", "0.1"], ["--snr-c-db", "10"]],
+                  ["--sigma-v", "0.1"], ["--snr-c-db", "10"],
+                  ["--delta0", "9e-6", "--phi", "1.0"], ["--seed", "3"]],
     )
     def test_edge_generator_rejects_noise_flags(self, tmp_path, capsys, flags):
         path = tmp_path / "edge.csv"
         rc = cli_main(["simulate", "--generator", "edge", "-n", "50", *flags, "-o", str(path)])
         assert rc == 2
-        assert "noiseless" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "noiseless" in err and flags[0] in err
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--k", "7", "--master-varphi", "3e-9"], "--generator edge"),
+         (["--slave-varphi", "1e-9"], "--generator edge"),
+         (["--snr-c-db", "30", "--snr-j-db", "30", "--sigma-n", "1e-3"], "not both"),
+         (["--snr-c-db", "30", "--snr-j-db", "30", "--sigma-v", "0.1"], "not both")],
+    )
+    def test_model_generator_rejects_stray_flags(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "model.csv"
+        rc = cli_main(["simulate", "-n", "50", *flags, "-o", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and flags[0] in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "flags, defaults",
+        [(["--snr-c-db", "30", "--snr-j-db", "30"],
+          ["--phi", "0", "--delta0", "5e-6", "--seed", "0"]),
+         (["--generator", "edge"], ["--k", "500", "--master-varphi", "0", "--slave-varphi", "0"])],
+    )
+    def test_generator_flags_default_to_documented_values(self, tmp_path, flags, defaults):
+        argv = ["simulate", *flags, "--f-d", "-32", "-n", "40"]
+        implicit, explicit = tmp_path / "implicit.csv", tmp_path / "explicit.csv"
+        assert cli_main(argv + ["-o", str(implicit)]) == 0
+        assert cli_main(argv + defaults + ["-o", str(explicit)]) == 0
+        assert implicit.read_bytes() == explicit.read_bytes()
 
     def test_estimate_wls_to_file(self, tmp_path):
         series_path = tmp_path / "s.csv"
@@ -375,6 +405,24 @@ class TestCli:
         assert rc == 0
         curve = read_curve(str(out_path))
         assert curve.coefficients.size == 6
+
+    def test_parser_reused_without_leaking_state(self, tmp_path, capsys):
+        assert _build_parser() is _build_parser()
+        series = sample_series(N=200)
+        path = tmp_path / "s.csv"
+        write_series(str(path), series)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["estimate", str(path), "--method", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert cli_main(["estimate", str(path), "--method", "wls", "--f-max", "200",
+                         "--no-refine", "-o", str(a)]) == 0
+        assert cli_main(["estimate", str(path), "--method", "wls", "-o", str(b)]) == 0
+        grids = SearchGrids.for_schedule(len(series), 1e-3)
+        est = wls_estimate(series, 1e-8, 5e-6, grids, robust_weights(series))
+        assert b.read_bytes() == estimate_to_csv(est).encode()
+        assert a.read_bytes() != b.read_bytes()
 
     def test_error_exit_code(self, tmp_path, capsys):
         rc = cli_main(["estimate", str(tmp_path / "missing.csv"), "--method", "uls"])
