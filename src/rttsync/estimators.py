@@ -138,16 +138,40 @@ class Estimate:
         }
 
 
+def _median(x):
+    """(B, 1) medians of the rows of x (B, N), as np.median(x, axis=1,
+    keepdims=True) gives them, at about a third of its cost on one row of
+    1000, where np.median's own overhead dominates: robust_weights takes
+    two, on every one-record WLS estimate."""
+    n = x.shape[1]
+    lo, hi = (n - 1) // 2, n // 2
+    part = np.partition(x, (lo, hi), axis=1)
+    return 0.5 * (part[:, lo:lo + 1] + part[:, hi:hi + 1])
+
+
 def _outlier_mask(y: np.ndarray):
-    """Deviation-from-median test; returns (mask of outliers, degenerate flag)."""
-    med = np.median(y)
+    """Deviation-from-median test on each row of y (B, N). Returns (mask of
+    outliers, per-row flag of a zero MAD with nonzero deviations, where the
+    mask is empty, and the (B, 1) row medians)."""
+    if y.shape[1] < 3:
+        raise ValueError("need at least 3 samples")
+    med = _median(y)
     dev = np.abs(y - med)
-    sigma_mad = NMAD_FACTOR * np.median(dev)
-    if sigma_mad == 0.0:
-        if np.any(dev > 0.0):
-            return np.zeros(y.size, dtype=bool), True
-        return np.zeros(y.size, dtype=bool), False
-    return dev > 3.0 * sigma_mad, False
+    sigma_mad = NMAD_FACTOR * _median(dev)
+    zero = sigma_mad[:, 0] == 0.0
+    mask = dev > 3.0 * sigma_mad
+    mask[zero] = False
+    return mask, zero & (dev.max(axis=1) > 0.0), med
+
+
+def _replace_outliers(y, mask, med):
+    """Rows of y with each masked sample replaced: isolated ones by the mean
+    of their two unmasked neighbours, runs and boundary hits by the row
+    median med."""
+    out = np.where(mask, med, y)
+    isolated = mask[:, 1:-1] & ~mask[:, :-2] & ~mask[:, 2:]
+    out[:, 1:-1][isolated] = (0.5 * (y[:, :-2] + y[:, 2:]))[isolated]
+    return out
 
 
 def robust_weights(series: RttSeries) -> WeightVector:
@@ -157,44 +181,35 @@ def robust_weights(series: RttSeries) -> WeightVector:
     Falls back to uniform weights (with a warning) when the MAD collapses to
     zero while deviations remain, e.g. a majority of identical samples.
     """
-    if len(series) < 3:
-        raise ValueError("need at least 3 samples")
-    mask, degenerate = _outlier_mask(series.values)
-    if degenerate:
+    mask, degenerate, _ = _outlier_mask(series.values[None])
+    if degenerate[0]:
         warnings.warn("zero MAD with nonzero deviations; using uniform weights")
         return WeightVector.uniform(len(series))
-    return WeightVector(np.where(mask, 0.0, 1.0))
+    return WeightVector(np.where(mask[0], 0.0, 1.0))
 
 
 def preprocess_outliers(series: RttSeries) -> RttSeries:
     """Replace detected outliers: isolated ones by the mean of their two
     neighbors, runs (and boundary hits) by the median of the whole record."""
-    if len(series) < 3:
-        raise ValueError("need at least 3 samples")
-    y = series.values
-    mask, _ = _outlier_mask(y)
+    y = series.values[None]
+    mask, _, med = _outlier_mask(y)
     if not mask.any():
         return series
-    out = y.copy()
-    med = np.median(y)
-    idx = np.flatnonzero(mask)
-    for i in idx:
-        isolated = 0 < i < y.size - 1 and not mask[i - 1] and not mask[i + 1]
-        out[i] = 0.5 * (y[i - 1] + y[i + 1]) if isolated else med
-    return series.with_values(out)
+    return series.with_values(_replace_outliers(y, mask, med)[0])
 
 
 def unwrap(z: np.ndarray) -> np.ndarray:
-    """Phase unwrapping: first element kept, consecutive differences mapped
-    into (-pi, pi], output congruent to the input modulo 2pi."""
+    """Phase unwrapping along the last axis: first element kept, consecutive
+    differences mapped into (-pi, pi], output congruent to the input modulo
+    2pi."""
     z = np.asarray(z, dtype=float)
     if z.size == 0:
         raise ValueError("empty input")
     d = np.diff(z)
     d_wrapped = math.pi - np.mod(math.pi - d, TWO_PI)
     out = np.empty_like(z)
-    out[0] = z[0]
-    out[1:] = z[0] + np.cumsum(d_wrapped)
+    out[..., 0] = z[..., 0]
+    out[..., 1:] = z[..., :1] + np.cumsum(d_wrapped, axis=-1)
     return out
 
 
@@ -216,6 +231,19 @@ def residuals(
     return series.values - h - delta0 - 2.0 * estimate.rho_hat / SPEED_OF_LIGHT
 
 
+def _uls_rows(t, y, T_m, delta0):
+    """(f_d, phi, rho) of ULS for each row of y (B, N) sampled at t."""
+    if y.shape[1] < 2:
+        raise ValueError("need at least 2 samples")
+    y_bar = np.mean(y, axis=1, keepdims=True)
+    rho = 0.5 * SPEED_OF_LIGHT * (y_bar[:, 0] - 0.5 * T_m - delta0)
+    u = unwrap((TWO_PI / T_m) * (y - y_bar))
+    # one fit per row: a stacked polyfit rounds differently
+    slope, intercept = np.array([np.polyfit(t, row, 1) for row in u]).T
+    # centering by y_bar removed the sawtooth mean (~pi); add it back
+    return slope / TWO_PI, wrap_to_2pi(intercept + math.pi), rho
+
+
 def uls_estimate(series: RttSeries, T_m: float, delta0: float) -> Estimate:
     """Three-step unwrapped least squares.
 
@@ -224,21 +252,11 @@ def uls_estimate(series: RttSeries, T_m: float, delta0: float) -> Estimate:
     mean-centered phase. The T_m/2 assumption biases the range by up to
     c*T_m/4 on short or degenerate (constant) records.
     """
-    if len(series) < 2:
-        raise ValueError("need at least 2 samples")
-    y = series.values
-    t = series.times
-    y_bar = float(np.mean(y))
-    rho_hat = 0.5 * SPEED_OF_LIGHT * (y_bar - 0.5 * T_m - delta0)
-    z = (TWO_PI / T_m) * (y - y_bar)
-    u = unwrap(z)
-    slope, intercept = np.polyfit(t, u, 1)
-    f_d_hat = slope / TWO_PI
-    # centering by y_bar removed the sawtooth mean (~pi); add it back
-    phi_hat = float(wrap_to_2pi(intercept + math.pi))
+    (f_d_hat,), (phi_hat,), (rho_hat,) = _uls_rows(
+        series.times, series.values[None], T_m, delta0)
     return Estimate(
         f_d_hat=float(f_d_hat),
-        phi_hat=phi_hat,
+        phi_hat=float(phi_hat),
         rho_hat=float(rho_hat),
         method="ULS",
         weights=WeightVector.uniform(len(series)),
@@ -246,56 +264,95 @@ def uls_estimate(series: RttSeries, T_m: float, delta0: float) -> Estimate:
 
 
 def _periodogram(y, t, f0, df, K):
-    """|sum_i y_i exp(-2j pi (f0 + k*df) t_i)|^2 for k = 0..K-1 by direct
-    summation on the exact stamps: the refinement kernel. Row 0 of the
-    (K, N) phasor matrix is an exact exp at f0 and row k is row k-1 times
+    """|sum_i y_i exp(-2j pi (f0 + k*df) t_i)|^2 for k = 0..K-1 and each row
+    of y (B, N), with its own f0 (B,), by direct summation on the exact
+    stamps t (N,) or (B, N): the refinement kernel. Row 0 of each (K, N)
+    phasor matrix is an exact exp at f0 and row k is row k-1 times
     w = exp(-2j pi df t), so the K rows cost two exp rows. Refinement asks
     for _REFINE_POINTS rows, few enough that the rounding of the recurrence
     stays near machine precision."""
+    rows = np.empty((K,) + y.shape, dtype=complex)
+    np.exp((-2j * math.pi * f0[:, None]) * t, out=rows[0])
     w = np.exp((-2j * math.pi * df) * t)
-    rows = np.empty((K, t.size), dtype=complex)
-    np.exp((-2j * math.pi * f0) * t, out=rows[0])
+    # the product steps fastest when w has the rows' shape, not broadcast
+    w = w.reshape(y.shape) if w.size == y.size else np.tile(w, (y.shape[0], 1))
     for k in range(1, K):
         np.multiply(rows[k - 1], w, out=rows[k])
-    return np.abs(rows @ y) ** 2
+    return np.abs(np.matmul(rows.transpose(1, 0, 2), y[:, :, None])[:, :, 0]) ** 2
 
 
 def _fft_periodogram(y, t, grids, positive=False):
-    """Periodogram of y over grids.F (its positive half if `positive`) from
-    one FFT of length L = n_fft, y placed at m_i = rint((t_i - t_0)/Ts) mod L.
-    Each grid f is a bin k/(L*Ts), so the sum is exp(-2j pi f t_0) times bin
-    k mod L: exact on the Ts lattice however long the record; stamps off it
-    are rounded (the refinement sums over the exact ones)."""
-    L = grids.n_fft
-    m = np.rint((t - t[0]) / grids.Ts).astype(np.intp) % L
-    x = np.zeros(L, dtype=y.dtype)
-    np.add.at(x, m, y)
+    """Periodogram of each row of y (B, N) over grids.F (its positive half if
+    `positive`) from one FFT of length L = n_fft per row, sample i placed at
+    m_i = rint((t_i - t_0)/Ts) mod L for stamps t (N,) or (B, N). Each grid
+    f is a bin k/(L*Ts), so the sum is exp(-2j pi f t_0) times bin k mod L:
+    exact on the Ts lattice however long the record; stamps off it are
+    rounded (the refinement sums over the exact ones), and samples that
+    round or fold into one bin add up there."""
+    B, L = y.shape[0], grids.n_fft
+    m = np.rint((t - t[..., :1]) / grids.Ts).astype(np.intp) % L
+    x = np.zeros((B, L), dtype=y.dtype)
+    np.add.at(x.reshape(-1), (L * np.arange(B)[:, None] + m).reshape(-1), y.reshape(-1))
     n_half = grids.F.size // 2
     k = np.arange(1 if positive else -n_half, n_half + 1)
-    return np.abs(np.fft.fft(x)[k % L]) ** 2
+    return np.abs(np.fft.fft(x, axis=1)[:, k % L]) ** 2
 
 
 def _peak_frequency(y, t, grids, refine, positive=False):
-    """Frequency of the periodogram peak of y over grids.F (its positive half
-    if `positive`) from the FFT, ties to the lowest index and clipped to
-    |f| <= f_max, and with refine=True two local searches of _REFINE_POINTS
-    frequencies that each shrink the step tenfold around it, kept within
-    0 < f <= f_max (|f| <= f_max if not `positive`). Returns (f, final
-    frequency step)."""
+    """Frequency of the periodogram peak of each row of y (B, N) over grids.F
+    (its positive half if `positive`) from the FFT, ties to the lowest index
+    and clipped to |f| <= f_max, and with refine=True two local searches of
+    _REFINE_POINTS frequencies that each shrink the step tenfold around it,
+    kept within 0 < f <= f_max (|f| <= f_max if not `positive`). Returns
+    (f (B,), final frequency step)."""
     F = grids.F[grids.F > 0.0] if positive else grids.F
-    f = float(F[int(np.argmax(_fft_periodogram(y, t, grids, positive)))])
+    f = F[np.argmax(_fft_periodogram(y, t, grids, positive), axis=1)]
     # the grid edge n*df can round one ulp past f_max
-    f, f_step = min(max(f, -grids.f_max), grids.f_max), grids.f_step
+    f, f_step = np.minimum(np.maximum(f, -grids.f_max), grids.f_max), grids.f_step
     if refine:
+        rows = np.arange(y.shape[0])
         for _ in range(_REFINE_LEVELS):
-            local = f + np.linspace(-f_step, f_step, _REFINE_POINTS)
+            local = f[:, None] + np.linspace(-f_step, f_step, _REFINE_POINTS)
             f_step /= _REFINE_FACTOR
-            power = _periodogram(y, t, local[0], f_step, _REFINE_POINTS)
-            keep = np.abs(local) <= grids.f_max
+            power = _periodogram(y, t, local[:, 0], f_step, _REFINE_POINTS)
+            drop = np.abs(local) > grids.f_max
             if positive:
-                keep &= local > 0.0
-            f = float(local[keep][int(np.argmax(power[keep]))])
+                drop |= local <= 0.0
+            power[drop] = -math.inf
+            f = local[rows, np.argmax(power, axis=1)]
     return f, f_step
+
+
+def _pcp_center(y):
+    """Rows of y (B, N) less their means, and per row whether it is constant
+    to rounding, so carries no frequency information."""
+    if y.shape[1] < 4:
+        raise ValueError("need at least 4 samples")
+    y0 = y - np.mean(y, axis=1, keepdims=True)
+    scale = 1e-15 * np.maximum(1.0, np.abs(y).max(axis=1, keepdims=True))
+    return y0, ~np.any(np.abs(y0) > scale, axis=1)
+
+
+def _pcp_rows(t, y, y0, T_m, delta0, grids, refine):
+    """PCP on rows of y (B, N) that are not constant, with their centered
+    rows y0. Returns (f_d, phi, rho, phi segment width) per row and the
+    final frequency step."""
+    f_mag, f_step = _peak_frequency(y0, t, grids, refine, positive=True)
+
+    # correlate mean-removed data against sawtooths of either slope, keeping
+    # the sign: the constant offset would swamp the peak, and centered
+    # sawtooths of opposite slope are mirror images. The template is
+    # 2pi*(1 - c_i + psi), less 2pi once psi >= c_i, so as sum(y0) = 0 the
+    # correlation y0 @ p is constant between wraps. Row 0 (-f_mag) wins ties.
+    c, order, width = _wrap_segments(np.stack([-f_mag, f_mag], axis=1), t)
+    ys = y0[np.arange(y0.shape[0])[:, None, None], order]
+    score = (ys * (1.0 - c)).sum(axis=2, keepdims=True) - (ys.cumsum(axis=2) - ys)
+    row, phi, phi_width, _ = _best_segment(-TWO_PI * score, c, width)
+    f_d = np.where(row == 0, -f_mag, f_mag)
+
+    r = y - sawtooth_template(t, f_d[:, None], phi[:, None], T_m) - delta0
+    rho = 0.5 * SPEED_OF_LIGHT / r.shape[1] * r.sum(axis=1)
+    return f_d, phi, rho, phi_width, f_step
 
 
 def pcp_estimate(
@@ -313,40 +370,24 @@ def pcp_estimate(
     circle, and range from a direct least-squares fit of the leftover
     constant.
     """
-    if len(series) < 4:
-        raise ValueError("need at least 4 samples")
-    y = series.values
+    y = series.values[None]
+    y0, flat = _pcp_center(y)
     t = series.times
     grids.check_sampling(t)
-    y0 = y - np.mean(y)
-    if not np.any(np.abs(y0) > 1e-15 * max(1.0, np.abs(y).max())):
+    if flat[0]:
         # constant series carries no frequency information
-        rho_hat = 0.5 * SPEED_OF_LIGHT * float(np.mean(y - delta0))
+        rho_hat = 0.5 * SPEED_OF_LIGHT * float(np.mean(series.values - delta0))
         return Estimate(0.0, 0.0, rho_hat, "PCP", WeightVector.uniform(len(series)))
-
-    f_mag, f_step = _peak_frequency(y0, t, grids, refine, positive=True)
-
-    # correlate mean-removed data against sawtooths of either slope, keeping
-    # the sign: the constant offset would swamp the peak, and centered
-    # sawtooths of opposite slope are mirror images. The template is
-    # 2pi*(1 - c_i + psi), less 2pi once psi >= c_i, so as sum(y0) = 0 the
-    # correlation y0 @ p is constant between wraps. Row 0 (-f_mag) wins ties.
-    c, order, width = _wrap_segments(np.array([-f_mag, f_mag]), t)
-    ys = y0[order]
-    score = np.sum(ys * (1.0 - c), axis=1, keepdims=True) - (np.cumsum(ys, axis=1) - ys)
-    row, phi_hat, phi_width, _ = _best_segment(-TWO_PI * score, c, width)
-    f_d_hat = (-f_mag, f_mag)[row]
-
-    r = y - sawtooth_template(t, f_d_hat, phi_hat, T_m) - delta0
-    rho_hat = 0.5 * SPEED_OF_LIGHT / r.size * float(np.sum(r))
+    (f_d_hat,), (phi_hat,), (rho_hat,), (phi_width,), f_step = _pcp_rows(
+        t, y, y0, T_m, delta0, grids, refine)
     return Estimate(
-        f_d_hat=f_d_hat,
-        phi_hat=phi_hat,
-        rho_hat=rho_hat,
+        f_d_hat=float(f_d_hat),
+        phi_hat=float(phi_hat),
+        rho_hat=float(rho_hat),
         method="PCP",
-        weights=WeightVector.uniform(r.size),
+        weights=WeightVector.uniform(len(series)),
         f_grid_step=f_step,
-        phi_grid_step=phi_width,
+        phi_grid_step=float(phi_width),
     )
 
 
@@ -366,29 +407,36 @@ def wls_cost(
 
 
 def _wrap_segments(F, t):
-    """Per frequency in F, the sorted wrap phases c_i = 1 - frac(f*t_i) in
-    cycles, their sort order and each segment's width: column j is the
+    """Per row b and frequency F[b, r], the sorted wrap phases
+    c_i = 1 - frac(F[b, r]*t_i) in cycles of stamps t (N,) or (B, N), their
+    sort order and each segment's width, all (B, R, N): column j is the
     segment [c[j-1], c[j]), on which the j samples sorted before it have
     wrapped; column 0 runs round from c[-1] - 1."""
-    raw = np.multiply.outer(F, t)
+    raw = F[:, :, None] * t[..., None, :]
     raw = 1.0 - (raw - np.floor(raw))
-    order = np.argsort(raw, axis=1)
-    c = np.take_along_axis(raw, order, axis=1)
-    return c, order, np.diff(c, axis=1, prepend=c[:, -1:] - 1.0)
+    order = raw.argsort(axis=2)
+    c = np.sort(raw, axis=2)  # raw in that order: tied phases are equal
+    width = np.empty_like(c)
+    width[:, :, 0] = c[:, :, 0] - (c[:, :, -1] - 1.0)
+    np.subtract(c[:, :, 1:], c[:, :, :-1], out=width[:, :, 1:])
+    return c, order, width
 
 
 def _best_segment(cost, c, width):
-    """(row, midpoint phase, width in rad, cost) of the lowest-cost segment
-    no narrower than _MIN_SEGMENT_RAD; ties go to the lowest row."""
+    """Per row b, (index r, midpoint phase, width in rad, cost) of the
+    lowest-cost segment of cost[b] (R, N) no narrower than _MIN_SEGMENT_RAD;
+    ties go to the lowest r."""
     cost[TWO_PI * width < _MIN_SEGMENT_RAD] = math.inf
-    i, j = divmod(int(np.argmin(cost)), c.shape[1])
-    mid = (c[i, j - 1] + 0.5 * width[i, j]) % 1.0
-    return i, float(TWO_PI * mid), TWO_PI * float(width[i, j]), float(cost[i, j])
+    b = np.arange(cost.shape[0])
+    i, j = np.divmod(np.argmin(cost.reshape(b.size, -1), axis=1), c.shape[2])
+    mid = (c[b, i, j - 1] + 0.5 * width[b, i, j]) % 1.0
+    return i, TWO_PI * mid, TWO_PI * width[b, i, j], cost[b, i, j]
 
 
 def _wls_search(b, t, f, T_m):
     """Exact minimum of the concentrated least-squares cost over the
-    continuous phase circle at frequency f.
+    continuous phase circle for each row of b (B, n) at its frequency f (B,),
+    sampled at t (n,) or (B, n).
 
     Let psi = phi/2pi and c_i = 1 - frac(f*t_i), the phase at which sample i
     wraps. The template is T_m*(frac(f*t_i) + psi), less T_m once psi >= c_i,
@@ -397,17 +445,41 @@ def _wls_search(b, t, f, T_m):
     -T_m*psi, so the cost is constant on each segment between consecutive
     sorted c_i, and prefix sums of a give every segment's cost at once.
 
-    Returns (phi at the segment midpoint, segment width in rad, minimum cost).
+    Returns (phi at the segment midpoint, segment width in rad, minimum cost),
+    each (B,).
     """
-    n = t.size
-    c, order, width = _wrap_segments(np.array([f]), t)
-    a = (b - b.mean())[order] - T_m * (1.0 - c)
-    A = np.cumsum(a, axis=1) - a
-    P, Q = float(np.sum(a)), float(np.sum(a * a))
+    n = b.shape[1]
+    c, order, width = _wrap_segments(f[:, None], t)
+    a = (b - b.mean(axis=1, keepdims=True))[np.arange(b.shape[0])[:, None, None], order]
+    a -= T_m * (1.0 - c)
+    A = a.cumsum(axis=2) - a
+    P = a.sum(axis=2, keepdims=True)
+    Q = (a * a).sum(axis=2, keepdims=True)
     W = np.arange(n, dtype=float)  # j samples have wrapped on segment j
     cost = Q - P * P / n + 2.0 * T_m * (A - P * W / n) + T_m**2 * W * (1.0 - W / n)
     _, phi, phi_width, c_min = _best_segment(cost, c, width)
     return phi, phi_width, c_min
+
+
+def _wls_rows(t, b, w, grids, refine, T_m):
+    """WLS on rows of b = y - delta0 (B, N) sampled at t (N,), each with its
+    0/1 mask w (B, N); every row must keep the same number of samples.
+    Returns (f_d, phi, rho, phi segment width) per row and the final
+    frequency step."""
+    keep = w > 0.0  # dropped samples neither score nor bound a segment
+    if keep.all():
+        t_in, b_in = t, b  # the rows share their stamps
+    else:
+        inliers = (b.shape[0], -1)
+        t_in = np.broadcast_to(t, b.shape)[keep].reshape(inliers)
+        b_in = b[keep].reshape(inliers)
+    z = np.exp((2j * math.pi / T_m) * b_in)
+    f, f_step = _peak_frequency(z, t_in, grids, refine)
+    phi, phi_width, _ = _wls_search(b_in, t_in, f, T_m)
+
+    r = b - sawtooth_template(t, f[:, None], phi[:, None], T_m)
+    rho = 0.5 * SPEED_OF_LIGHT * (np.vecdot(w, r) / w.sum(axis=1))
+    return f, phi, rho, phi_width, f_step
 
 
 def wls_estimate(
@@ -438,20 +510,14 @@ def wls_estimate(
     t = series.times
     grids.check_sampling(t)
     b = series.values - delta0
-    keep = w.w > 0.0  # dropped samples neither score nor bound a segment
-    t_in, b_in = t[keep], b[keep]
-    z = np.exp((2j * math.pi / T_m) * b_in)
-    f_hat, f_step = _peak_frequency(z, t_in, grids, refine)
-    phi_hat, phi_width, _ = _wls_search(b_in, t_in, f_hat, T_m)
-
-    r = b - sawtooth_template(t, f_hat, phi_hat, T_m)
-    rho_hat = 0.5 * SPEED_OF_LIGHT * float(np.dot(w.w, r) / np.sum(w.w))
+    (f_hat,), (phi_hat,), (rho_hat,), (phi_width,), f_step = _wls_rows(
+        t, b[None], w.w[None], grids, refine, T_m)
     return Estimate(
-        f_d_hat=f_hat,
-        phi_hat=phi_hat,
-        rho_hat=rho_hat,
+        f_d_hat=float(f_hat),
+        phi_hat=float(phi_hat),
+        rho_hat=float(rho_hat),
         method="WLS",
         weights=w,
         f_grid_step=f_step,
-        phi_grid_step=phi_width,
+        phi_grid_step=float(phi_width),
     )

@@ -179,6 +179,29 @@ def rtt_sample(t, clock: ClockTruth, link: LinkTruth, v=0.0, n=0.0):
     return h + link.delta0 + link.flight_time + np.asarray(n)
 
 
+def _check_flight_time(link: LinkTruth, Ts: float) -> None:
+    if link.flight_time >= Ts:
+        raise ValueError("two-way flight time must be below the update period")
+
+
+def _generate_rows(t, f_d, phi, T_m: float, link: LinkTruth, noises, seeds) -> np.ndarray:
+    """RTT records (B, N) at stamps t (N,): row b samples a clock pair with
+    frequency difference f_d[b] and phase phi[b] under noises[b], drawing
+    its jitter, then its channel noise, from seeds[b], each only when its
+    sigma is nonzero."""
+    B, N = len(noises), t.size
+    v, n = np.zeros((B, N)), np.zeros((B, N))
+    for b, (noise, seed) in enumerate(zip(noises, seeds)):
+        rng = np.random.default_rng(seed)
+        if noise.sigma_v:
+            v[b] = rng.normal(0.0, noise.sigma_v, N)
+        if noise.sigma_n:
+            n[b] = rng.normal(0.0, noise.sigma_n, N)
+    # rtt_sample with f_d and phi per row; zero draws add nothing
+    h = sawtooth_template(t, f_d[:, None], phi[:, None], T_m, v)
+    return h + link.delta0 + link.flight_time + n
+
+
 def generate_series(
     schedule: SampleSchedule,
     clock: ClockTruth,
@@ -187,11 +210,8 @@ def generate_series(
     seed=None,
 ) -> RttSeries:
     """Generate an RTT series over the schedule; deterministic for fixed seed."""
-    if link.flight_time >= schedule.Ts:
-        raise ValueError("two-way flight time must be below the update period")
+    _check_flight_time(link, schedule.Ts)
     t = schedule.times()
-    rng = np.random.default_rng(seed)
-    v = rng.normal(0.0, noise.sigma_v, schedule.N) if noise.sigma_v else 0.0
-    n = rng.normal(0.0, noise.sigma_n, schedule.N) if noise.sigma_n else 0.0
-    y = rtt_sample(t, clock, link, v, n)
-    return RttSeries(t, np.asarray(y, dtype=float))
+    y = _generate_rows(t, np.array([clock.f_d]), np.array([clock.phi]), clock.T_m, link,
+                       [noise], [seed])
+    return RttSeries(t, y[0])

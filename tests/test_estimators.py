@@ -300,7 +300,7 @@ class TestPeriodogram:
         start = int(np.random.default_rng(seed).integers(0, grids.F.size - K + 1))
         F = grids.F[start:start + K]
         for x in inputs:
-            power = _periodogram(x, t, F[0], grids.f_step, K)
+            power = _periodogram(x[None], t, F[:1], grids.f_step, K)[0]
             assert_matches_direct(power, direct_periodogram(x, t, F))
 
     def test_peak_at_tone(self):
@@ -308,7 +308,7 @@ class TestPeriodogram:
         y = np.sin(TWO_PI * 60.0 * t)
         g = SearchGrids.for_schedule(N=200, Ts=1e-3)
         f_grid = g.F[g.F > 0.0]
-        power = _periodogram(y, t, f_grid[0], g.f_step, f_grid.size)
+        power = _periodogram(y[None], t, f_grid[:1], g.f_step, f_grid.size)[0]
         assert f_grid[np.argmax(power)] == pytest.approx(60.0, abs=g.f_step)
 
 
@@ -374,7 +374,7 @@ class TestFftPeriodogram:
     def test_matches_direct_sum(self, seed, N, t0, drop, f_max, n_grid):
         t, grids, inputs = lattice_case(800 + seed, N, t0, drop, f_max, n_grid)
         for x, F, positive in inputs:
-            fft = _fft_periodogram(x, t, grids, positive)
+            fft = _fft_periodogram(x[None], t, grids, positive)[0]
             direct = direct_periodogram(x, t, F)
             assert_matches_direct(fft, direct)
             assert np.argmax(fft) == np.argmax(direct)
@@ -384,7 +384,7 @@ class TestFftPeriodogram:
     def test_rounded_stamps_peak_within_one_bin(self, seed, kind):
         t, grids, (z, y0) = rounded_record(kind, 840 + seed)
         for x, F, positive in ((z, grids.F, False), (y0, grids.F[grids.F > 0.0], True)):
-            fft = _fft_periodogram(x, t, grids, positive)
+            fft = _fft_periodogram(x[None], t, grids, positive)[0]
             assert abs(int(np.argmax(fft)) - int(np.argmax(direct_periodogram(x, t, F)))) <= 1
 
     def test_nyquist_pair_tie_goes_to_lowest_index(self):
@@ -394,7 +394,8 @@ class TestFftPeriodogram:
             t = 1e-3 * np.arange(N)
             z = np.exp(1j * (math.pi * np.arange(N) + 0.3))
             grids = SearchGrids.for_schedule(N, 1e-3)
-            assert _peak_frequency(z, t, grids, refine=False) == (-500.0, grids.f_step)
+            f, f_step = _peak_frequency(z[None], t, grids, refine=False)
+            assert (f.tolist(), f_step) == ([-500.0], grids.f_step)
 
     def test_edge_record_takes_direct_sum_and_estimates(self):
         # the FFT rounds the stamps onto the Ts lattice; refinement's direct
@@ -475,7 +476,7 @@ def pcp_with_score(monkeypatch, series, grids=None, refine=True):
     with monkeypatch.context() as m:
         m.setattr(estimators, "_best_segment", spy)
         est = pcp_estimate(series, T_M, LINK.delta0, grids, refine=refine)
-    (_, _, _, cost), = picked
+    (_, _, _, (cost,)), = picked
     return est, -cost
 
 
@@ -588,7 +589,8 @@ def inlier_search(b, t, wv, F):
     one-frequency search at each f, ties to the lowest f. Returns (f, phi,
     segment width, cost)."""
     keep = wv > 0.0
-    rows = [(f, *_wls_search(b[keep], t[keep], f, T_M)) for f in F]
+    rows = [(f, *(x[0] for x in _wls_search(b[keep][None], t[keep], np.array([f]), T_M)))
+            for f in F]
     return min(rows, key=lambda row: row[3])
 
 

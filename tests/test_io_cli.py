@@ -343,6 +343,25 @@ class TestCli:
         assert lines[0].startswith("sweep_axis,sweep_value,estimator")
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("axis, values", [
+        ("N", "20, 20.5"),
+        ("N", "1"),
+        ("outlier_fraction", "0.1, 1.5"),
+        ("f_d", "-32, 1e8"),
+    ])
+    def test_sweep_rejects_bad_values_before_running(self, tmp_path, capsys, axis, values):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(
+            "[experiment]\nf_m = 1e8\nf_d = -32\nrho = 2.0\ndelta0 = 5e-6\n"
+            "ts = 1e-3\nn = 30\nsnr_c_db = 40\nsnr_j_db = 40\n"
+            f"estimators = uls\nm = 2\nsweep_axis = {axis}\nsweep_values = {values}\n"
+        )
+        out_path = tmp_path / "report.csv"
+        rc = cli_main(["sweep", "--config", str(cfg_path), "-o", str(out_path)])
+        assert rc == 2
+        assert "rttsync: error:" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_residuals_command(self, tmp_path, capsys):
         series_path = tmp_path / "s.csv"
         cli_main(
