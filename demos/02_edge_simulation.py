@@ -14,7 +14,7 @@ from rttsync import (
     Oscillator,
     SampleSchedule,
     equivalent_clock_truth,
-    rtt_sample,
+    sawtooth_template,
     simulate_campaign,
 )
 
@@ -31,7 +31,8 @@ series = simulate_campaign(master, slave, cfg, SampleSchedule(0.0, 1e-3, 10_000)
 # model phase, then compare sample by sample
 clock = equivalent_clock_truth(master, slave, cfg.rho)
 link = LinkTruth(rho=cfg.rho, delta0=cfg.K * slave.period)
-model = rtt_sample(series.times, clock, link)
+h = sawtooth_template(series.times, clock.f_d, clock.phi, clock.T_m)
+model = h + link.delta0 + link.flight_time
 
 err = np.abs(series.values - model)
 print(f"equivalent model phase phi = {clock.phi:.6f} rad")

@@ -12,11 +12,9 @@ from rttsync import (
     ClockTruth,
     LinkTruth,
     NoiseSpec,
-    OutlierSpec,
     SampleSchedule,
     SearchGrids,
     generate_series,
-    inject_outliers,
     preprocess_outliers,
     robust_weights,
     uls_estimate,
@@ -29,7 +27,12 @@ schedule = SampleSchedule(0.0, 1e-3, 200)
 noise = NoiseSpec.from_snr(40.0, 40.0, clock.T_m)
 
 clean = generate_series(schedule, clock, link, noise, seed=4)
-dirty, idx = inject_outliers(clean, OutlierSpec(fraction=0.15), seed=5)
+# 15% of the samples, at random positions, replaced by gross values
+rng = np.random.default_rng(5)
+idx = np.sort(rng.choice(len(clean), size=round(0.15 * len(clean)), replace=False))
+values = clean.values.copy()
+values[idx] = rng.uniform(3.5e-6, 4.9e-6, size=idx.size)
+dirty = clean.with_values(values)
 print(f"injected {idx.size} outliers into {len(dirty)} samples")
 
 w = robust_weights(dirty)

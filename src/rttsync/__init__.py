@@ -9,7 +9,6 @@ from .model import (
     RttSeries,
     SampleSchedule,
     generate_series,
-    rtt_sample,
     sawtooth_template,
     snr_to_sigma,
 )
@@ -39,9 +38,7 @@ from .montecarlo import (
     ExperimentConfig,
     OutlierSpec,
     SweepReport,
-    inject_outliers,
     run_sweep,
-    run_trial,
 )
 from .analysis import (
     AcfReport,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import SPEED_OF_LIGHT, TWO_PI, RttSeries, sawtooth_template
+from .model import SPEED_OF_LIGHT, TWO_PI, RttSeries, _require_finite, sawtooth_template
 
 # Scale factor making the median absolute deviation consistent with the
 # standard deviation of a Gaussian.
@@ -126,6 +126,9 @@ class Estimate:
     f_grid_step: float | None = None
     phi_grid_step: float | None = None
 
+    def __post_init__(self):
+        _require_finite("estimated parameters", self.f_d_hat, self.phi_hat, self.rho_hat)
+
     def to_record(self) -> dict:
         w = self.weights
         return {
@@ -136,6 +139,14 @@ class Estimate:
             "n_used": w.n_used if w is not None else 0,
             "n_downweighted": w.n_downweighted if w is not None else 0,
         }
+
+
+def _check_clock(T_m: float, delta0: float) -> None:
+    """Reject a master period that is not positive and finite, or a slave
+    delay that is not finite, before they reach an estimate."""
+    if not (math.isfinite(T_m) and T_m > 0.0):
+        raise ValueError("T_m must be positive and finite")
+    _require_finite("delta0", delta0)
 
 
 def _median(x):
@@ -227,6 +238,7 @@ def residuals(
     series: RttSeries, estimate: Estimate, T_m: float, delta0: float
 ) -> np.ndarray:
     """Model-fit residuals y - h(t; f_d, phi) - delta0 - 2*rho/c of an estimate."""
+    _check_clock(T_m, delta0)
     h = sawtooth_template(series.times, estimate.f_d_hat, estimate.phi_hat, T_m)
     return series.values - h - delta0 - 2.0 * estimate.rho_hat / SPEED_OF_LIGHT
 
@@ -252,6 +264,7 @@ def uls_estimate(series: RttSeries, T_m: float, delta0: float) -> Estimate:
     mean-centered phase. The T_m/2 assumption biases the range by up to
     c*T_m/4 on short or degenerate (constant) records.
     """
+    _check_clock(T_m, delta0)
     (f_d_hat,), (phi_hat,), (rho_hat,) = _uls_rows(
         series.times, series.values[None], T_m, delta0)
     return Estimate(
@@ -323,20 +336,16 @@ def _peak_frequency(y, t, grids, refine, positive=False):
     return f, f_step
 
 
-def _pcp_center(y):
-    """Rows of y (B, N) less their means, and per row whether it is constant
-    to rounding, so carries no frequency information."""
+def _pcp_rows(t, y, T_m, delta0, grids, refine):
+    """PCP on each row of y (B, N). Returns (f_d, phi, rho, phi segment
+    width, flag of a constant row) per row and the final frequency step. A
+    row constant to rounding carries no frequency information: it gets
+    f = phi = 0 and the range of its mean."""
     if y.shape[1] < 4:
         raise ValueError("need at least 4 samples")
     y0 = y - np.mean(y, axis=1, keepdims=True)
     scale = 1e-15 * np.maximum(1.0, np.abs(y).max(axis=1, keepdims=True))
-    return y0, ~np.any(np.abs(y0) > scale, axis=1)
-
-
-def _pcp_rows(t, y, y0, T_m, delta0, grids, refine):
-    """PCP on rows of y (B, N) that are not constant, with their centered
-    rows y0. Returns (f_d, phi, rho, phi segment width) per row and the
-    final frequency step."""
+    flat = ~np.any(np.abs(y0) > scale, axis=1)
     f_mag, f_step = _peak_frequency(y0, t, grids, refine, positive=True)
 
     # correlate mean-removed data against sawtooths of either slope, keeping
@@ -352,7 +361,9 @@ def _pcp_rows(t, y, y0, T_m, delta0, grids, refine):
 
     r = y - sawtooth_template(t, f_d[:, None], phi[:, None], T_m) - delta0
     rho = 0.5 * SPEED_OF_LIGHT / r.shape[1] * r.sum(axis=1)
-    return f_d, phi, rho, phi_width, f_step
+    rho_flat = 0.5 * SPEED_OF_LIGHT * np.mean(y - delta0, axis=1)
+    return (np.where(flat, 0.0, f_d), np.where(flat, 0.0, phi), np.where(flat, rho_flat, rho),
+            phi_width, flat, f_step)
 
 
 def pcp_estimate(
@@ -368,26 +379,20 @@ def pcp_estimate(
     over the positive half of the grid, sign and phase from the correlation
     peak against candidate sawtooths, found exactly over the continuous phase
     circle, and range from a direct least-squares fit of the leftover
-    constant.
+    constant. A constant series gives f_d = phi = 0 and no grid steps.
     """
-    y = series.values[None]
-    y0, flat = _pcp_center(y)
-    t = series.times
-    grids.check_sampling(t)
-    if flat[0]:
-        # constant series carries no frequency information
-        rho_hat = 0.5 * SPEED_OF_LIGHT * float(np.mean(series.values - delta0))
-        return Estimate(0.0, 0.0, rho_hat, "PCP", WeightVector.uniform(len(series)))
-    (f_d_hat,), (phi_hat,), (rho_hat,), (phi_width,), f_step = _pcp_rows(
-        t, y, y0, T_m, delta0, grids, refine)
+    _check_clock(T_m, delta0)
+    grids.check_sampling(series.times)
+    (f_d_hat,), (phi_hat,), (rho_hat,), (phi_width,), (flat,), f_step = _pcp_rows(
+        series.times, series.values[None], T_m, delta0, grids, refine)
     return Estimate(
         f_d_hat=float(f_d_hat),
         phi_hat=float(phi_hat),
         rho_hat=float(rho_hat),
         method="PCP",
         weights=WeightVector.uniform(len(series)),
-        f_grid_step=f_step,
-        phi_grid_step=float(phi_width),
+        f_grid_step=None if flat else f_step,
+        phi_grid_step=None if flat else float(phi_width),
     )
 
 
@@ -400,6 +405,7 @@ def wls_cost(
     w: WeightVector,
 ) -> float:
     """Concentrated weighted squared-error cost with the range profiled out."""
+    _check_clock(T_m, delta0)
     r = series.values - sawtooth_template(series.times, f_d, phi, T_m) - delta0
     wv = w.w
     s = float(np.sum(wv))
@@ -503,6 +509,7 @@ def wls_estimate(
     phase-range ambiguity there. The range follows in closed form. f_hat is
     not the global minimiser of that cost (see wls_cost).
     """
+    _check_clock(T_m, delta0)
     if w is None:
         w = WeightVector.uniform(len(series))
     if w.w.size != len(series):

@@ -96,6 +96,9 @@ class SampleSchedule:
         _require_finite("schedule times", self.t0, self.Ts)
         if not self.Ts > 0.0:
             raise ValueError("Ts must be positive")
+        if not float(self.N).is_integer():
+            raise ValueError(f"N must be an integer, not {self.N!r}")
+        object.__setattr__(self, "N", int(self.N))
         if self.N < 2:
             raise ValueError("N must be at least 2")
 
@@ -173,22 +176,17 @@ def sawtooth_template(t, f_d: float, phi: float, T_m: float, v=0.0):
     return (T_m / TWO_PI) * np.mod(arg, TWO_PI)
 
 
-def rtt_sample(t, clock: ClockTruth, link: LinkTruth, v=0.0, n=0.0):
-    """Single RTT measurement: remainder + delta0 + 2*rho/c + n, seconds."""
-    h = sawtooth_template(t, clock.f_d, clock.phi, clock.T_m, v)
-    return h + link.delta0 + link.flight_time + np.asarray(n)
-
-
 def _check_flight_time(link: LinkTruth, Ts: float) -> None:
     if link.flight_time >= Ts:
         raise ValueError("two-way flight time must be below the update period")
 
 
 def _generate_rows(t, f_d, phi, T_m: float, link: LinkTruth, noises, seeds) -> np.ndarray:
-    """RTT records (B, N) at stamps t (N,): row b samples a clock pair with
-    frequency difference f_d[b] and phase phi[b] under noises[b], drawing
-    its jitter, then its channel noise, from seeds[b], each only when its
-    sigma is nonzero."""
+    """RTT records (B, N) at stamps t (N,), each sample the sawtooth
+    remainder + delta0 + 2*rho/c + channel noise: row b samples a clock pair
+    with frequency difference f_d[b] and phase phi[b] under noises[b],
+    drawing its jitter, then its channel noise, from seeds[b], each only
+    when its sigma is nonzero."""
     B, N = len(noises), t.size
     v, n = np.zeros((B, N)), np.zeros((B, N))
     for b, (noise, seed) in enumerate(zip(noises, seeds)):
@@ -197,8 +195,8 @@ def _generate_rows(t, f_d, phi, T_m: float, link: LinkTruth, noises, seeds) -> n
             v[b] = rng.normal(0.0, noise.sigma_v, N)
         if noise.sigma_n:
             n[b] = rng.normal(0.0, noise.sigma_n, N)
-    # rtt_sample with f_d and phi per row; zero draws add nothing
-    h = sawtooth_template(t, f_d[:, None], phi[:, None], T_m, v)
+    # zero draws add nothing
+    h = sawtooth_template(t, np.asarray(f_d)[:, None], np.asarray(phi)[:, None], T_m, v)
     return h + link.delta0 + link.flight_time + n
 
 
@@ -212,6 +210,5 @@ def generate_series(
     """Generate an RTT series over the schedule; deterministic for fixed seed."""
     _check_flight_time(link, schedule.Ts)
     t = schedule.times()
-    y = _generate_rows(t, np.array([clock.f_d]), np.array([clock.phi]), clock.T_m, link,
-                       [noise], [seed])
+    y = _generate_rows(t, [clock.f_d], [clock.phi], clock.T_m, link, [noise], [seed])
     return RttSeries(t, y[0])

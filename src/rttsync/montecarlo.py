@@ -7,26 +7,18 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import estimators
-from .estimators import (
-    SearchGrids,
-    pcp_estimate,
-    preprocess_outliers,
-    robust_weights,
-    uls_estimate,
-    wls_estimate,
-    wrap_to_pm_pi,
-)
+from .estimators import SearchGrids, wrap_to_pm_pi
 from .model import (
     TWO_PI,
     ClockTruth,
     LinkTruth,
     NoiseSpec,
-    RttSeries,
     SampleSchedule,
     _check_flight_time,
     _generate_rows,
@@ -128,14 +120,6 @@ def _outlier_draws(n: int, spec: OutlierSpec, seed):
     return idx, rng.uniform(spec.lo, spec.hi, size=count)
 
 
-def inject_outliers(series: RttSeries, spec: OutlierSpec, seed):
-    """Replace round(fraction*N) samples; returns (series, outlier indices)."""
-    idx, drawn = _outlier_draws(len(series), spec, seed)
-    values = series.values.copy()
-    values[idx] = drawn
-    return series.with_values(values), idx
-
-
 def _apply_sweep(cfg: ExperimentConfig, value: float):
     """Clock/schedule/noise/outliers for one sweep point; raises ValueError
     for a value the point cannot take."""
@@ -148,9 +132,7 @@ def _apply_sweep(cfg: ExperimentConfig, value: float):
         _, sigma_v = snr_to_sigma(0.0, value, clock.T_m)
         noise = dataclasses.replace(noise, sigma_v=sigma_v)
     elif axis == "N":
-        if not float(value).is_integer():
-            raise ValueError(f"N sweep value {value!r} is not an integer")
-        schedule = dataclasses.replace(schedule, N=int(value))
+        schedule = dataclasses.replace(schedule, N=value)
     elif axis == "outlier_fraction":
         base = outliers if outliers is not None else OutlierSpec(fraction=0.0)
         outliers = dataclasses.replace(base, fraction=value)
@@ -163,24 +145,6 @@ def _apply_sweep(cfg: ExperimentConfig, value: float):
 def _child(trial_seed, i: int) -> np.random.SeedSequence:
     """SeedSequence(trial_seed).spawn(3)[i], built directly."""
     return np.random.SeedSequence(trial_seed, spawn_key=(i,))
-
-
-def _estimate_one(cfg: ExperimentConfig, name: str, series: RttSeries, grids: SearchGrids):
-    """(f_d, phi, rho) of one estimator on one record through the public
-    one-record call, or NaNs when it rejects the record."""
-    T_m, delta0 = cfg.clock.T_m, cfg.link.delta0
-    try:
-        if name == "WLS":
-            est = wls_estimate(series, T_m, delta0, grids, robust_weights(series), refine=cfg.refine)
-        else:
-            data = preprocess_outliers(series) if cfg.preprocess else series
-            if name == "ULS":
-                est = uls_estimate(data, T_m, delta0)
-            else:
-                est = pcp_estimate(data, T_m, delta0, grids, refine=cfg.refine)
-    except (ValueError, np.linalg.LinAlgError):
-        return math.nan, math.nan, math.nan
-    return est.f_d_hat, est.phi_hat, est.rho_hat
 
 
 def _screen(cfg: ExperimentConfig, Y):
@@ -202,14 +166,14 @@ def _screen(cfg: ExperimentConfig, Y):
 
 def _estimate_stack(cfg: ExperimentConfig, name: str, t, Y, screen, grids: SearchGrids):
     """(B, 3) rows of (f_d, phi, rho) of one estimator over the records Y
-    (B, N) sampled at t, with their _screen, NaN where it rejects a record.
-    The rows run through the estimator's row kernels as one stack; a
-    zero-MAD record (WLS), a constant one (PCP) and every record of a stack
-    the kernels reject or that is too short to screen go through the
-    one-record call instead."""
+    (B, N) sampled at t, with their _screen, all through the estimator's row
+    kernels: WLS gives a zero-MAD record uniform weights, as robust_weights
+    does, under one warning per stack, and PCP fits a constant record in
+    closed form. A ValueError or LinAlgError, such as a record too short to
+    screen or for the estimator, rejects every record of the stack alike,
+    so all rows come out NaN."""
     T_m, delta0 = cfg.clock.T_m, cfg.link.delta0
     out = np.full((Y.shape[0], 3), math.nan)
-    alone = np.zeros(Y.shape[0], dtype=bool)
     try:
         if screen is None:
             if name == "WLS" or cfg.preprocess:
@@ -218,27 +182,23 @@ def _estimate_stack(cfg: ExperimentConfig, name: str, t, Y, screen, grids: Searc
         else:
             mask, zero, data = screen
         if name == "WLS":
-            alone = zero
+            if zero.any():
+                warnings.warn(f"zero MAD with nonzero deviations in {np.count_nonzero(zero)} of "
+                              f"{zero.size} records; using uniform weights for them")
             w = np.where(mask, 0.0, 1.0)
             n_used = Y.shape[1] - np.count_nonzero(mask, axis=1)
-            for n in np.unique(n_used[~alone]):
-                rows = np.flatnonzero((n_used == n) & ~alone)
+            for n in np.unique(n_used):
+                rows = np.flatnonzero(n_used == n)
                 f, phi, rho, _, _ = estimators._wls_rows(
                     t, Y[rows] - delta0, w[rows], grids, cfg.refine, T_m)
                 out[rows] = np.stack([f, phi, rho], axis=1)
         elif name == "ULS":
             out[:] = np.stack(estimators._uls_rows(t, data, T_m, delta0), axis=1)
         else:
-            y0, alone = estimators._pcp_center(data)
-            rows = np.flatnonzero(~alone)
-            if rows.size:
-                f, phi, rho, _, _ = estimators._pcp_rows(
-                    t, data[rows], y0[rows], T_m, delta0, grids, cfg.refine)
-                out[rows] = np.stack([f, phi, rho], axis=1)
+            out[:] = np.stack(
+                estimators._pcp_rows(t, data, T_m, delta0, grids, cfg.refine)[:3], axis=1)
     except (ValueError, np.linalg.LinAlgError):
-        alone = np.ones(Y.shape[0], dtype=bool)
-    for row in np.flatnonzero(alone):
-        out[row] = _estimate_one(cfg, name, RttSeries(t, Y[row]), grids)
+        out[:] = math.nan
     return out
 
 
@@ -273,24 +233,6 @@ def _run_stack(cfg: ExperimentConfig, schedule: SampleSchedule, grids: SearchGri
         err[ok, 2] = est[ok, 2] - link.rho
         errors[name] = err
     return errors
-
-
-def run_trial(cfg: ExperimentConfig, sweep_value: float, trial_seed) -> dict:
-    """One randomized trial, the one-row case of run_sweep's stacks; returns,
-    per estimator, the signed errors (f_d in Hz, phase in radians, range in
-    m) or None when the estimator rejects the record (ValueError or
-    LinAlgError); other errors propagate.
-
-    The phase truth is drawn uniformly from [0, 2pi) each trial.
-    """
-    point = _apply_sweep(cfg, float(sweep_value))
-    schedule = point[1]
-    grids = SearchGrids.for_schedule(schedule.N, schedule.Ts)
-    errors = _run_stack(cfg, schedule, grids, [point], [trial_seed])
-    return {
-        name: None if np.isnan(err[0, 0]) else tuple(err[0].tolist())
-        for name, err in errors.items()
-    }
 
 
 def _summary(errors: np.ndarray) -> dict:
@@ -334,13 +276,17 @@ _STACK_SAMPLES = 1 << 15
 def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     """M trials per sweep value; per-trial seeds derive from (master seed,
     sweep index, iteration index) so runs are reproducible and trials
-    order-independent.
+    order-independent. Each trial draws its phase truth uniformly from
+    [0, 2pi).
 
     The trials of all sweep points that share a schedule (every point, off
     the N axis) run as (B, N) stacks through each stage: generation with each
     trial's own draws, outlier weights, the FFT, the refinement and the
-    phase search. The report is the same, to the bit, as running each trial
-    alone with run_trial.
+    phase search. Every row takes the same kernels, so the report is the
+    same, to the bit, as running each trial alone through generate_series
+    and the public one-record estimators. A record an estimator rejects
+    (ValueError or LinAlgError) counts as a failed trial of it; any other
+    error propagates.
     """
     rows = []
     for schedule, group in itertools.groupby(enumerate(cfg.points), key=lambda p: p[1][1]):

@@ -33,8 +33,8 @@ from rttsync.model import (
     NoiseSpec,
     RttSeries,
     SampleSchedule,
+    _generate_rows,
     generate_series,
-    rtt_sample,
 )
 from rttsync.montecarlo import ExperimentConfig, OutlierSpec, run_sweep
 
@@ -99,7 +99,9 @@ def test_criterion_2_edge_simulation_matches_closed_form_model():
     series = simulate_campaign(master, slave, cfg, SampleSchedule(0.0, 1e-3, 10_000))
     clock = equivalent_clock_truth(master, slave, cfg.rho)
     link = LinkTruth(rho=cfg.rho, delta0=cfg.K * slave.period)
-    model = rtt_sample(series.times, clock, link)
+    # the generator generate_series and run_sweep run, at the edge stamps
+    model = _generate_rows(series.times, [clock.f_d], [clock.phi], clock.T_m, link,
+                           [NoiseSpec()], [0])[0]
     worst = float(np.max(np.abs(series.values - model)))
     elapsed = time.time() - t_start
     ok = worst <= 1e-11 and elapsed < 5.0

@@ -10,7 +10,7 @@ from rttsync.edge_sim import (
     next_edge,
     simulate_campaign,
 )
-from rttsync.model import SPEED_OF_LIGHT, LinkTruth, SampleSchedule, rtt_sample
+from rttsync.model import SPEED_OF_LIGHT, LinkTruth, NoiseSpec, SampleSchedule, _generate_rows
 
 
 def make_pair(f_slave, varphi_m=0.0, varphi_s=0.0):
@@ -95,7 +95,9 @@ class TestCampaignVsModel:
         series = simulate_campaign(master, slave, cfg, SampleSchedule(0.0, 1e-3, n))
         clock = equivalent_clock_truth(master, slave, rho)
         link = LinkTruth(rho=rho, delta0=cfg.K * slave.period)
-        model = rtt_sample(series.times, clock, link)
+        # the generator generate_series and run_sweep run, at the edge stamps
+        model = _generate_rows(series.times, [clock.f_d], [clock.phi], clock.T_m, link,
+                               [NoiseSpec()], [0])[0]
         return float(np.max(np.abs(series.values - model)))
 
     def test_matches_closed_form_model(self):

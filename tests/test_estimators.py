@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from rttsync import estimators
+from rttsync.analysis import residual_acf
 from rttsync.edge_sim import ExchangeConfig, Oscillator, simulate_campaign
 from rttsync.estimators import (
     Estimate,
@@ -36,7 +37,6 @@ from rttsync.model import (
     RttSeries,
     SampleSchedule,
     generate_series,
-    rtt_sample,
     sawtooth_template,
 )
 
@@ -363,7 +363,7 @@ def rounded_record(kind, seed):
             t = 0.37 + ts * rng.uniform(0.3, 0.9) * np.arange(N)
         noise = NoiseSpec.from_snr(20.0, 20.0, T_M)
         v, n = rng.normal(0.0, [[noise.sigma_v], [noise.sigma_n]], (2, N))
-        y = rtt_sample(t, clock, LINK, v, n)
+        y = sawtooth_template(t, clock.f_d, clock.phi, T_M, v) + LINK.delta0 + LINK.flight_time + n
     z = np.exp((2j * math.pi / T_M) * (y - LINK.delta0))
     return t, SearchGrids.for_schedule(N, ts), (z, y - y.mean())
 
@@ -498,6 +498,8 @@ class TestPcp:
         g = SearchGrids.for_schedule(N=50, Ts=1e-3)
         est = pcp_estimate(series, T_M, link.delta0, g)
         assert est.f_d_hat == 0.0 and est.f_grid_step is None
+        assert est.phi_hat == 0.0 and est.phi_grid_step is None
+        assert est.rho_hat == 0.5 * SPEED_OF_LIGHT * float(np.mean(series.values - link.delta0))
 
     def test_refine_tightens_frequency(self):
         series, _, link = noiseless(-32.6, 1.0, N=200)
@@ -773,3 +775,45 @@ class TestMetamorphic:
             expected = a.phi_hat + TWO_PI * a.f_d_hat * T
             assert abs(phase_error(b.phi_hat, expected)) < 1e-9
             assert b.rho_hat == pytest.approx(a.rho_hat, abs=1e-9)
+
+
+BOUNDARY_SERIES = noiseless(-32.0, 1.0, N=60)[0]
+BOUNDARY_GRIDS = SearchGrids.for_schedule(60, 1e-3)
+FIXED = Estimate(-31.0, 1.0, 2.0, "FIXED")  # off the truth: nonzero residuals
+
+# every public call that takes (T_m, delta0), on a valid record
+CLOCK_CALLS = {
+    "uls_estimate": lambda T_m, d: uls_estimate(BOUNDARY_SERIES, T_m, d),
+    "pcp_estimate": lambda T_m, d: pcp_estimate(BOUNDARY_SERIES, T_m, d, BOUNDARY_GRIDS),
+    "wls_estimate": lambda T_m, d: wls_estimate(BOUNDARY_SERIES, T_m, d, BOUNDARY_GRIDS),
+    "wls_cost": lambda T_m, d: wls_cost(
+        -32.0, 1.0, BOUNDARY_SERIES, T_m, d, WeightVector.uniform(len(BOUNDARY_SERIES))),
+    "residuals": lambda T_m, d: residuals(BOUNDARY_SERIES, FIXED, T_m, d),
+    "residual_acf": lambda T_m, d: residual_acf(BOUNDARY_SERIES, FIXED, 10, T_m, d),
+}
+
+bad_t_m = st.one_of(st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf]))
+boundary = settings(max_examples=40, derandomize=True, deadline=None)
+
+
+class TestBoundary:
+    @boundary
+    @given(st.sampled_from(sorted(CLOCK_CALLS)), bad_t_m)
+    def test_rejects_bad_t_m(self, name, T_m):
+        # T_m = 0 would divide by zero, and T_m < 0 flip the sign of f_d
+        with pytest.raises(ValueError, match="T_m"):
+            CLOCK_CALLS[name](T_m, LINK.delta0)
+
+    @boundary
+    @given(st.sampled_from(sorted(CLOCK_CALLS)), st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_rejects_nonfinite_delta0(self, name, delta0):
+        with pytest.raises(ValueError, match="delta0"):
+            CLOCK_CALLS[name](T_M, delta0)
+
+    @pytest.mark.parametrize("field", ["f_d_hat", "phi_hat", "rho_hat"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_estimate_rejects_nonfinite(self, field, value):
+        fields = dict(f_d_hat=-32.0, phi_hat=1.0, rho_hat=2.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            Estimate(method="FIXED", **fields)

@@ -362,6 +362,30 @@ class TestCli:
         assert "rttsync: error:" in capsys.readouterr().err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--method", "uls", "--t-m", "0"],
+        ["estimate", "--method", "wls", "--t-m", "0"],
+        ["estimate", "--method", "uls", "--t-m=-1e-8"],
+        ["estimate", "--method", "wls", "--t-m=-1e-8"],
+        ["estimate", "--method", "pcp", "--t-m", "nan"],
+        ["estimate", "--method", "uls", "--delta0", "nan"],
+        ["estimate", "--method", "wls", "--delta0", "nan"],
+        ["estimate", "--method", "pcp", "--delta0=-inf"],
+        ["residuals", "--method", "uls", "--t-m", "inf"],
+        ["residuals", "--f-d", "nan"],
+    ])
+    def test_rejects_bad_clock_parameters(self, tmp_path, capsys, argv):
+        # each would otherwise give a NaN or sign-flipped estimate, or a
+        # traceback
+        series_path = tmp_path / "s.csv"
+        cli_main(["simulate", "--f-d", "-32", "--snr-c-db", "30", "--snr-j-db", "30",
+                  "-n", "200", "-o", str(series_path)])
+        out_path = tmp_path / "out.csv"
+        rc = cli_main([argv[0], str(series_path), *argv[1:], "-o", str(out_path)])
+        assert rc == 2
+        assert "rttsync: error:" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_residuals_command(self, tmp_path, capsys):
         series_path = tmp_path / "s.csv"
         cli_main(

@@ -12,7 +12,6 @@ from rttsync.model import (
     RttSeries,
     SampleSchedule,
     generate_series,
-    rtt_sample,
     sawtooth_template,
     snr_to_sigma,
 )
@@ -91,20 +90,24 @@ class TestRemainder:
 
 
 class TestRttSample:
+    """Noiseless samples of generate_series: remainder + delta0 + 2*rho/c."""
+
     def test_modulus_vanishes(self):
         clock = ClockTruth(f_m=1e8, f_d=0.0, phi=0.0)
         expected = 5e-6 + 4.0 / SPEED_OF_LIGHT
-        assert rtt_sample(0.7, clock, LINK) == pytest.approx(expected, rel=1e-12)
+        y = generate_series(SampleSchedule(0.7, 1e-3, 2), clock, LINK).values
+        assert y[0] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(5.013342e-6, rel=1e-6)
 
     def test_half_period_offset_adds_5ns(self):
-        base = rtt_sample(0.0, ClockTruth(1e8, 0.0, 0.0), LINK)
-        shifted = rtt_sample(0.0, ClockTruth(1e8, 0.0, math.pi), LINK)
+        sched = SampleSchedule(0.0, 1e-3, 2)
+        base = generate_series(sched, ClockTruth(1e8, 0.0, 0.0), LINK).values[0]
+        shifted = generate_series(sched, ClockTruth(1e8, 0.0, math.pi), LINK).values[0]
         assert shifted - base == pytest.approx(5e-9, rel=1e-9)
 
     def test_default_link_sawtooth_amplitude(self):
-        t = 1e-3 * np.arange(1000)
-        y = rtt_sample(t, ClockTruth(1e8, -32.0, 2.0), LINK)
+        sched = SampleSchedule(0.0, 1e-3, 1000)
+        y = generate_series(sched, ClockTruth(1e8, -32.0, 2.0), LINK).values
         offset = LINK.delta0 + LINK.flight_time
         assert y.min() >= offset
         assert y.max() < offset + 1e-8
@@ -223,3 +226,16 @@ class TestValidation:
     def test_schedule_times(self):
         sched = SampleSchedule(1.0, 0.5, 4)
         np.testing.assert_allclose(sched.times(), [1.0, 1.5, 2.0, 2.5])
+
+    @pytest.mark.parametrize("N", [20.5, math.nan, math.inf, -math.inf])
+    def test_schedule_rejects_nonintegral_n(self, N):
+        # N = 20.5 would make 21 samples while N reads 20.5
+        with pytest.raises(ValueError, match="integer"):
+            SampleSchedule(0.0, 1e-3, N)
+
+    @pytest.mark.parametrize("N", [20, 20.0, np.int64(20), np.float64(20.0)])
+    def test_schedule_stores_integral_n_as_int(self, N):
+        sched = SampleSchedule(0.0, 1e-3, N)
+        assert type(sched.N) is int and sched.N == 20
+        assert sched.times().size == 20
+        assert sched == SampleSchedule(0.0, 1e-3, 20)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -21,10 +22,10 @@ from rttsync.montecarlo import (
     ExperimentConfig,
     OutlierSpec,
     SweepReport,
+    _outlier_draws,
+    _run_stack,
     _summary,
-    inject_outliers,
     run_sweep,
-    run_trial,
 )
 
 T_M = 1e-8
@@ -93,63 +94,45 @@ class TestConfigValidation:
 
 class TestInjectOutliers:
     def test_count_and_range(self):
-        clock = ClockTruth(1e8, -32.0, 1.0)
-        link = LinkTruth(rho=2.0, delta0=5e-6)
-        series = generate_series(SampleSchedule(0.0, 1e-3, 100), clock, link)
-        spec = OutlierSpec(fraction=0.1)
-        out, idx = inject_outliers(series, spec, seed=0)
-        assert idx.size == 10
-        assert np.all(np.diff(idx) > 0)
-        assert np.all((out.values[idx] >= 3.5e-6) & (out.values[idx] <= 4.9e-6))
-        mask = np.ones(100, dtype=bool)
-        mask[idx] = False
-        np.testing.assert_array_equal(out.values[mask], series.values[mask])
+        idx, drawn = _outlier_draws(100, OutlierSpec(fraction=0.1), seed=0)
+        assert idx.size == drawn.size == 10
+        assert np.all(np.diff(idx) > 0) and 0 <= idx[0] and idx[-1] < 100
+        assert np.all((drawn >= 3.5e-6) & (drawn <= 4.9e-6))
 
     def test_zero_fraction_noop(self):
-        clock = ClockTruth(1e8, -32.0, 1.0)
-        link = LinkTruth(rho=2.0, delta0=5e-6)
-        series = generate_series(SampleSchedule(0.0, 1e-3, 20), clock, link)
-        out, idx = inject_outliers(series, OutlierSpec(fraction=0.0), seed=0)
-        assert idx.size == 0
-        np.testing.assert_array_equal(out.values, series.values)
+        idx, drawn = _outlier_draws(20, OutlierSpec(fraction=0.0), seed=0)
+        assert idx.size == drawn.size == 0
 
     def test_seed_determinism(self):
-        clock = ClockTruth(1e8, -32.0, 1.0)
-        link = LinkTruth(rho=2.0, delta0=5e-6)
-        series = generate_series(SampleSchedule(0.0, 1e-3, 50), clock, link)
         spec = OutlierSpec(fraction=0.2)
-        _, i1 = inject_outliers(series, spec, seed=5)
-        _, i2 = inject_outliers(series, spec, seed=5)
+        i1, v1 = _outlier_draws(50, spec, seed=5)
+        i2, v2 = _outlier_draws(50, spec, seed=5)
         np.testing.assert_array_equal(i1, i2)
+        np.testing.assert_array_equal(v1, v2)
 
 
 class TestRunTrial:
+    """One trial per point: run_sweep at M=1, where the RMSE is |error|."""
+
     def test_returns_errors_per_estimator(self):
-        cfg = base_config()
-        out = run_trial(cfg, 0.0, (123, 0, 0))
-        assert set(out) == {"ULS", "PCP", "WLS"}
-        for errs in out.values():
-            assert len(errs) == 3
-            assert all(np.isfinite(errs))
+        rep = run_sweep(base_config(M=1))
+        assert [r["estimator"] for r in rep.rows] == ["ULS", "PCP", "WLS"]
+        for row in rep.rows:
+            assert row["n_failed"] == 0
+            assert all(np.isfinite(row[f"rmse_{p}"]) for p in ("fd_hz", "phi_s", "rho_m"))
 
     def test_trial_seed_reproducible(self):
-        cfg = base_config()
-        a = run_trial(cfg, 0.0, (123, 0, 0))
-        b = run_trial(cfg, 0.0, (123, 0, 0))
-        assert a == b
+        cfg = base_config(M=1)
+        assert run_sweep(cfg).rows == run_sweep(cfg).rows
 
     def test_different_iterations_differ(self):
-        cfg = base_config()
-        a = run_trial(cfg, 0.0, (123, 0, 0))
-        b = run_trial(cfg, 0.0, (123, 0, 1))
-        assert a["ULS"] != b["ULS"]
+        row = run_sweep(base_config(M=2, estimators=("ULS",))).row(0.0, "ULS")
+        assert row["min_fd_hz"] != row["max_fd_hz"]
 
     def test_small_errors_at_high_snr(self):
-        cfg = base_config(schedule=SampleSchedule(0.0, 1e-3, 100))
-        out = run_trial(cfg, 0.0, (123, 0, 0))
-        df, dphi, drho = out["WLS"]
-        assert abs(df) < 2.0
-        assert abs(drho) < 0.3
+        rep = run_sweep(base_config(M=1, schedule=SampleSchedule(0.0, 1e-3, 100)))
+        assert rep.rmse(0.0, "WLS", "fd_hz") < 2.0
+        assert rep.rmse(0.0, "WLS", "rho_m") < 0.3
 
 
 class TestRunSweep:
@@ -231,15 +214,21 @@ class TestRunSweep:
 
 def serial_trial(cfg, sweep_idx, trial_seed):
     """One trial as the per-trial loop ran it before run_sweep stacked them:
-    its own record from generate_series and inject_outliers, then each
-    public one-record estimator; (f_d, phase, range) errors or None."""
+    its own record from generate_series with round(fraction*N) samples
+    replaced by uniform draws at sorted random positions, then each public
+    one-record estimator; (f_d, phase, range) errors or None."""
     clock, schedule, noise, outliers = cfg.points[sweep_idx]
     phi_ss, series_ss, outlier_ss = np.random.SeedSequence(trial_seed).spawn(3)
     clock = dataclasses.replace(
         clock, phi=float(np.random.default_rng(phi_ss).uniform(0.0, TWO_PI)))
     series = generate_series(schedule, clock, cfg.link, noise, seed=series_ss)
     if outliers is not None and outliers.fraction > 0.0:
-        series, _ = inject_outliers(series, outliers, outlier_ss)
+        rng = np.random.default_rng(outlier_ss)
+        count = int(round(outliers.fraction * schedule.N))
+        idx = np.sort(rng.choice(schedule.N, size=count, replace=False))
+        values = series.values.copy()
+        values[idx] = rng.uniform(outliers.lo, outliers.hi, size=count)
+        series = series.with_values(values)
     grids = SearchGrids.for_schedule(schedule.N, schedule.Ts)
     T_m, delta0 = clock.T_m, cfg.link.delta0
     results = {}
@@ -303,11 +292,17 @@ def serial_report(cfg):
 
 
 def zero_mad_warnings(sweep, cfg):
-    """sweep(cfg) and how many zero-MAD fallback warnings it raised."""
+    """sweep(cfg) and how many records its zero-MAD fallback warnings name:
+    one per warning of a single record, the count a stack's warning gives."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         report = sweep(cfg)
-    return report, sum("zero MAD" in str(w.message) for w in caught)
+    records = 0
+    for w in caught:
+        if "zero MAD" in str(w.message):
+            count = re.search(r"in (\d+) of \d+ records", str(w.message))
+            records += int(count.group(1)) if count else 1
+    return report, records
 
 
 ALL = ("ULS", "PCP", "WLS")
@@ -325,12 +320,19 @@ STACKING_CASES = {
     "pcp_fails": dict(M=5, schedule=SampleSchedule(0.0, 1e-3, 3)),
     # 2 samples are too few to screen: WLS and preprocessed ULS fail too
     "too_short": dict(M=3, sweep_axis="N", sweep_values=(2.0, 3.0)),
-    # noiseless at f_d = 0: constant records (PCP's one-record path), and
-    # with outliers a zero MAD with deviations (WLS's uniform-weight path)
+    # noiseless at f_d = 0: constant records (PCP's closed form), and with
+    # outliers a zero MAD with deviations (WLS's uniform weights)
     "zero_mad": dict(M=4, clock=ClockTruth(1e8, 0.0, 0.0), noise=NoiseSpec(),
                      outliers=OutlierSpec(fraction=0.1), sweep_axis="outlier_fraction",
                      sweep_values=(0.0, 0.1)),
+    # the same records in one stack with ordinary ones (f_d = 32 Hz)
+    "mixed_constant": dict(M=4, noise=NoiseSpec(), sweep_axis="f_d", sweep_values=(0.0, 32.0)),
+    "mixed_zero_mad": dict(M=4, noise=NoiseSpec(), outliers=OutlierSpec(fraction=0.1),
+                           sweep_axis="f_d", sweep_values=(0.0, 32.0)),
 }
+
+# cases whose f_d = 0 records fall back to uniform WLS weights, one per trial
+ZERO_MAD_CASES = ("zero_mad", "mixed_zero_mad")
 
 
 class TestStackedSweep:
@@ -340,8 +342,8 @@ class TestStackedSweep:
         report, warned = zero_mad_warnings(run_sweep, cfg)
         serial, serial_warned = zero_mad_warnings(serial_report, cfg)
         assert report.rows == serial.rows
-        # the fallback keeps its warning, once per record
-        assert warned == serial_warned == (cfg.M if case == "zero_mad" else 0)
+        # the fallback is reported for every record, one warning per stack
+        assert warned == serial_warned == (cfg.M if case in ZERO_MAD_CASES else 0)
         if case == "pcp_fails":
             assert report.row(0.0, "PCP")["n_failed"] == cfg.M
             assert report.row(0.0, "WLS")["n_failed"] == 0
@@ -355,12 +357,16 @@ class TestStackedSweep:
                           sweep_axis="f_d", sweep_values=(-32.0, 100.0))
         assert run_sweep(cfg).rows == serial_report(cfg).rows
 
-    def test_run_trial_is_one_row_of_the_stack(self):
+    def test_one_row_stack_equals_serial_trial(self):
         cfg = base_config(estimators=ALL, **STACKING_CASES["outliers"])
-        for sweep_idx, value in enumerate(cfg.sweep_values):
+        for sweep_idx, point in enumerate(cfg.points):
+            schedule = point[1]
+            grids = SearchGrids.for_schedule(schedule.N, schedule.Ts)
             for it in range(cfg.M):
                 seed = (cfg.seed, sweep_idx, it)
-                assert run_trial(cfg, value, seed) == serial_trial(cfg, sweep_idx, seed)
+                errors = _run_stack(cfg, schedule, grids, [point], [seed])
+                assert {name: tuple(err[0].tolist()) for name, err in errors.items()} == \
+                    serial_trial(cfg, sweep_idx, seed)
 
 
 class TestTrialErrors:
@@ -371,13 +377,13 @@ class TestTrialErrors:
 
         monkeypatch.setattr("rttsync.estimators._wls_rows", broken)
         with pytest.raises(RuntimeError):
-            run_trial(base_config(estimators=("WLS",)), 0.0, (0, 0, 0))
+            run_sweep(base_config(M=1, estimators=("WLS",)))
 
     def test_value_error_counts_as_failure(self, monkeypatch):
         def rejects(*args, **kwargs):
             raise ValueError("bad record")
 
         monkeypatch.setattr("rttsync.estimators._wls_rows", rejects)
-        result = run_trial(base_config(estimators=("ULS", "WLS")), 0.0, (0, 0, 0))
-        assert result["WLS"] is None and result["ULS"] is not None
+        rep = run_sweep(base_config(M=1, estimators=("ULS", "WLS")))
+        assert rep.row(0.0, "WLS")["n_failed"] == 1 and rep.row(0.0, "ULS")["n_failed"] == 0
 
