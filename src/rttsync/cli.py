@@ -8,8 +8,6 @@ import functools
 import io as _io
 import sys
 
-import numpy as np
-
 from . import analysis, edge_sim, estimators, io, model, montecarlo
 
 
@@ -80,13 +78,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _grids_for(series, args):
-    # the grid's Nyquist limit and spacing assume one sampling interval
-    gaps = np.diff(series.times)
-    if gaps.size == 0:
+    # the record as the uniform schedule of its span: one gap would carry the
+    # master-edge snapping of an edge record, up to one T_m, into every
+    # lattice point. The estimators check that every stamp sits on it.
+    if len(series) < 2:
         raise ValueError("need at least 2 samples")
-    ts = float(gaps[0])
-    if np.any(np.abs(gaps - ts) > 1e-3 * ts):
-        raise ValueError("PCP and WLS need uniformly spaced time stamps")
+    ts = float(series.times[-1] - series.times[0]) / (len(series) - 1)
     f_max = getattr(args, "f_max", None)
     return estimators.SearchGrids.for_schedule(len(series), ts, f_max=f_max)
 

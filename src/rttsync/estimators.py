@@ -2,6 +2,10 @@
 RTT series: unwrapped least squares (ULS), periodogram + correlation peaks
 (PCP), and robust weighted least squares (WLS), plus the median/nMAD outlier
 weighting and pre-processing filter they rely on.
+
+The public calls take a master period T_m in (0, 1 s], a clock of at least
+1 Hz, and a finite delta0; PCP and WLS also need stamps on the lattice of
+their grid's Ts (SearchGrids.check_sampling). Anything else is a ValueError.
 """
 
 from __future__ import annotations
@@ -12,7 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import SPEED_OF_LIGHT, TWO_PI, RttSeries, _require_finite, sawtooth_template
+from .model import (
+    SPEED_OF_LIGHT,
+    TWO_PI,
+    _T_M_MAX,
+    RttSeries,
+    _require_finite,
+    sawtooth_template,
+)
 
 # Scale factor making the median absolute deviation consistent with the
 # standard deviation of a Gaussian.
@@ -101,10 +112,25 @@ class SearchGrids:
         return cls(4 * N, 1.0 / (2.0 * Ts) if f_max is None else f_max, Ts)
 
     def check_sampling(self, t: np.ndarray) -> None:
-        """Reject times sampled more coarsely than Ts, beyond the CLI's 1e-3
-        slack: f_max would pass their Nyquist rate and could pick an alias."""
-        if t.size > 1 and np.min(np.diff(t)) > (1.0 + 1e-3) * self.Ts:
-            raise ValueError("record is sampled more coarsely than the grid's Ts")
+        """Reject stamps off the lattice t[0] + k*Ts onto which the FFT
+        rounds them: each must lie within 1e-3*Ts of a lattice point, as a
+        jittered or drifting stamp would move its phase. The steps in k
+        between stamps must also share no factor d > 1: such a record is
+        sampled every d*Ts, more coarsely than Ts, and f and f + 1/(d*Ts),
+        both within f_max, fit it equally. A record may miss samples, as a
+        zero weight deletes one; the grid should then resolve its span, for
+        which for_schedule(N) of N samples on consecutive points is too
+        coarse once long gaps stretch it past about n_fft."""
+        if t.size < 2:
+            return
+        k = (t - t[0]) / self.Ts
+        lattice = np.rint(k)
+        if (np.max(np.abs(k - lattice)) > 1e-3
+                or np.gcd.reduce(np.diff(lattice).astype(np.int64)) != 1):
+            raise ValueError("PCP and WLS need uniformly spaced time stamps, each within "
+                             "1e-3*Ts of t0 + k*Ts and with steps in k of no common factor: "
+                             "this record is jittered, drifts, or is sampled more coarsely "
+                             "than the grid's Ts")
 
 
 @dataclass(frozen=True)
@@ -142,10 +168,11 @@ class Estimate:
 
 
 def _check_clock(T_m: float, delta0: float) -> None:
-    """Reject a master period that is not positive and finite, or a slave
-    delay that is not finite, before they reach an estimate."""
-    if not (math.isfinite(T_m) and T_m > 0.0):
-        raise ValueError("T_m must be positive and finite")
+    """Reject a master period that is not positive or is above _T_M_MAX
+    (1 s), or a slave delay that is not finite, before they reach an
+    estimate."""
+    if not 0.0 < T_m <= _T_M_MAX:
+        raise ValueError(f"T_m must be positive and at most {_T_M_MAX:g} s")
     _require_finite("delta0", delta0)
 
 

@@ -23,6 +23,11 @@ TWO_PI = 2.0 * math.pi
 # used for the clocked delay; we warn but do not forbid.
 _FD_RATIO_WARN = 1e-3
 
+# The longest master period the package takes: a clock slower than 1 Hz.
+# Near 1e300 s, WLS overflowed in T_m**2 and ULS and PCP gave ranges near
+# -1e308 m.
+_T_M_MAX = 1.0
+
 
 def _require_finite(what: str, *xs: float) -> None:
     if not all(math.isfinite(x) for x in xs):
@@ -33,7 +38,7 @@ def _require_finite(what: str, *xs: float) -> None:
 class ClockTruth:
     """Ground-truth clock pair parameters.
 
-    f_m : master clock frequency, Hz.
+    f_m : master clock frequency, Hz, at least 1 Hz (T_m at most _T_M_MAX).
     f_d : frequency difference master minus slave, Hz (signed).
     phi : relative clock offset, radians in [0, 2pi).
     """
@@ -46,6 +51,8 @@ class ClockTruth:
         _require_finite("clock parameters", self.f_m, self.f_d, self.phi)
         if not self.f_m > 0.0:
             raise ValueError("f_m must be positive")
+        if not self.T_m <= _T_M_MAX:
+            raise ValueError(f"f_m must be at least {1.0 / _T_M_MAX:g} Hz")
         if abs(self.f_d) >= self.f_m:
             raise ValueError("|f_d| must be below f_m")
         if not 0.0 <= self.phi < TWO_PI:

@@ -235,37 +235,63 @@ def _run_stack(cfg: ExperimentConfig, schedule: SampleSchedule, grids: SearchGri
     return errors
 
 
-def _summary(errors: np.ndarray) -> dict:
-    """RMSE, quartiles and extremes of each row of errors (P, n), as lists
-    of P floats."""
-    if not errors.shape[1]:
-        nan = [math.nan] * errors.shape[0]
-        return {"rmse": nan, "p25": nan, "p50": nan, "p75": nan, "min": nan, "max": nan}
-    p25, p50, p75 = np.percentile(errors, (25, 50, 75), axis=1).tolist()
-    return {
-        "rmse": np.sqrt(np.mean(errors**2, axis=1)).tolist(),
-        "p25": p25, "p50": p50, "p75": p75,
-        "min": errors.min(axis=1).tolist(), "max": errors.max(axis=1).tolist(),
-    }
+def _quartiles(s: np.ndarray) -> np.ndarray:
+    """(..., 3) 25th, 50th and 75th percentiles along the last axis of the
+    sorted block s (..., n), with the bits of np.percentile's linear method:
+    the virtual index v = (n-1)*q, and between the samples a and b at its
+    floor and ceiling, a + (b-a)*g below g = frac(v) = 0.5 and b - (b-a)*(1-g)
+    from it. Finite samples only, and only a -0.0 sample can give a zero of
+    the other sign (numpy's partition may order mixed zeros otherwise than
+    the sort). The f_d and range errors, estimate - truth, are -0.0 only for
+    an estimate of -0.0 at a truth of +0.0, which is not checked; the phase
+    error, truth - estimate wrapped as pi - mod(pi - x, 2pi), never is, as a
+    difference of equal nonzero floats is +0.0."""
+    n = s.shape[-1]
+    v = [(n - 1) * q for q in (0.25, 0.5, 0.75)]
+    lo = [math.floor(x) for x in v]
+    hi = [min(i + 1, n - 1) for i in lo]
+    a, b, g = s[..., lo], s[..., hi], np.array([x - i for x, i in zip(v, lo)])
+    d = b - a
+    return np.where(g < 0.5, a + d * g, b - d * (1.0 - g))
 
 
-def _report_row(cfg: ExperimentConfig, value: float, name: str, errs: np.ndarray) -> dict:
-    """Report row of one estimator at one sweep point from its (M, 3) trial
-    errors, NaN where it rejected the record."""
-    errs = errs[~np.isnan(errs[:, 0])]
-    row = {
-        "sweep_axis": cfg.sweep_axis,
-        "sweep_value": value,
-        "estimator": name,
-        "n_trials": cfg.M,
-        "n_failed": cfg.M - len(errs),
-    }
-    stats = _summary(np.stack([errs[:, 0], errs[:, 1] * cfg.clock.T_m / TWO_PI, errs[:, 2]]))
-    for j, param in enumerate(("fd_hz", "phi_s", "rho_m")):
-        row[f"rmse_{param}"] = stats["rmse"][j]
-        for stat in ("p25", "p50", "p75", "min", "max"):
-            row[f"{stat}_{param}"] = stats[stat][j]
-    return row
+_STATS = ("rmse", "p25", "p50", "p75", "min", "max")
+_STAT_KEYS = [f"{stat}_{param}" for param in ("fd_hz", "phi_s", "rho_m") for stat in _STATS]
+
+
+def _report_rows(cfg: ExperimentConfig, values: list, errors: dict) -> list:
+    """Report rows, point-major then estimator, of the P sweep points
+    `values` from each estimator's (P*M, 3) trial errors, NaN where it
+    rejected the record: RMSE, quartiles and extremes over the trials each
+    (point, estimator) kept. Rows that kept the same number n of trials are
+    summarised as one contiguous (R, 3, n) block with one sort."""
+    P, M, E = len(values), cfg.M, len(cfg.estimators)
+    stack = np.stack([errors[name].reshape(P, M, 3) for name in cfg.estimators], axis=1)
+    stack = stack.reshape(P * E, M, 3)
+    stack[:, :, 1] = stack[:, :, 1] * cfg.clock.T_m / TWO_PI
+    kept = ~np.isnan(stack[:, :, 0])
+    n_kept = np.count_nonzero(kept, axis=1).tolist()
+    stats = np.full((P * E, 3, len(_STATS)), math.nan)
+    for n in set(n_kept) - {0}:
+        rows = [r for r, k in enumerate(n_kept) if k == n]
+        block = np.ascontiguousarray(
+            stack[rows][kept[rows]].reshape(len(rows), n, 3).transpose(0, 2, 1))
+        s = np.sort(block, axis=-1)
+        stats[rows] = np.concatenate(
+            [np.sqrt(np.mean(block**2, axis=-1, keepdims=True)), _quartiles(s), s[..., [0, -1]]],
+            axis=-1)
+    out = []
+    for r, flat in enumerate(stats.reshape(P * E, -1).tolist()):
+        row = {
+            "sweep_axis": cfg.sweep_axis,
+            "sweep_value": values[r // E],
+            "estimator": cfg.estimators[r % E],
+            "n_trials": M,
+            "n_failed": M - n_kept[r],
+        }
+        row.update(zip(_STAT_KEYS, flat if n_kept[r] else [math.nan] * len(_STAT_KEYS)))
+        out.append(row)
+    return out
 
 
 # Trials per stack are capped at this many samples in all, which bounds the
@@ -287,6 +313,11 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     and the public one-record estimators. A record an estimator rejects
     (ValueError or LinAlgError) counts as a failed trial of it; any other
     error propagates.
+
+    The report of those points is one stacked summary (_report_rows): the
+    (point, estimator) rows that kept the same number of trials share one
+    sort, from which come the extremes and the quartiles, with the bits of
+    np.percentile, and one RMSE reduction.
     """
     rows = []
     for schedule, group in itertools.groupby(enumerate(cfg.points), key=lambda p: p[1][1]):
@@ -300,8 +331,5 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
             for chunk in (trials[i:i + size] for i in range(0, len(trials), size))
         ]
         errors = {name: np.concatenate([s[name] for s in stacks]) for name in cfg.estimators}
-        for k, (idx, _) in enumerate(group):
-            for name in cfg.estimators:
-                errs = errors[name][k * cfg.M:(k + 1) * cfg.M]
-                rows.append(_report_row(cfg, cfg.sweep_values[idx], name, errs))
+        rows += _report_rows(cfg, [cfg.sweep_values[idx] for idx, _ in group], errors)
     return SweepReport(sweep_axis=cfg.sweep_axis, rows=rows)

@@ -228,6 +228,57 @@ class TestSearchGrids:
         series = noisy_record(0, -32.0, 200)
         with pytest.raises(ValueError, match="coarsely"):
             method(series, T_M, LINK.delta0, SearchGrids.for_schedule(200, 1e-4))
+        # every other sample of 400: on the 1 ms lattice and within the
+        # grid's n_fft, but f and f + 500 Hz fit it equally
+        series = noisy_record(4, -32.0, 400)
+        halved = RttSeries(series.times[::2], series.values[::2])
+        with pytest.raises(ValueError, match="coarsely"):
+            method(halved, T_M, LINK.delta0, SearchGrids.for_schedule(200, 1e-3))
+
+    @pytest.mark.parametrize("method", [pcp_estimate, wls_estimate])
+    @pytest.mark.parametrize("stamps", ["jittered", "drifting"])
+    def test_rejects_stamps_off_the_lattice(self, method, stamps):
+        # the FFT rounds each stamp onto t0 + k*Ts: stamps jittered by up to
+        # 0.49 Ts moved a PCP estimate at -425.45 Hz more than 5 Hz, and gaps
+        # of 1.0009 Ts drift 0.9 Ts off the lattice over N=1000
+        rng = np.random.default_rng(7)
+        if stamps == "jittered":
+            N, f_d = 50, -425.45
+            t = 1e-3 * (np.arange(N) + rng.uniform(0.0, 0.49, N))
+        else:
+            N, f_d = 1000, -32.0
+            t = 1.0009e-3 * np.arange(N)
+        clock = ClockTruth(1e8, f_d, float(rng.uniform(0.0, TWO_PI)))
+        noise = NoiseSpec.from_snr(30.0, 30.0, T_M)
+        v, n = rng.normal(0.0, [[noise.sigma_v], [noise.sigma_n]], (2, N))
+        y = sawtooth_template(t, clock.f_d, clock.phi, T_M, v) + LINK.delta0 + LINK.flight_time + n
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            method(RttSeries(t, y), T_M, LINK.delta0, SearchGrids.for_schedule(N, 1e-3))
+
+    @pytest.mark.parametrize("method", [pcp_estimate, wls_estimate])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_records_with_long_gaps(self, method, seed):
+        # five gaps of 20-60 Ts at random places leave about half of 400
+        # samples: the lattice spans less than n_fft, and the estimate holds
+        rng = np.random.default_rng(100 + seed)
+        f_d = float(rng.uniform(-450.0, 450.0))
+        series = noisy_record(seed, f_d, 400)
+        keep = np.ones(400, dtype=bool)
+        for start in rng.choice(360, 5, replace=False):
+            keep[start:start + rng.integers(20, 60)] = False
+        keep[[0, -1]] = True
+        record = RttSeries(series.times[keep], series.values[keep])
+        est = method(record, T_M, LINK.delta0, SearchGrids.for_schedule(len(record), 1e-3))
+        assert est.f_d_hat == pytest.approx(f_d, abs=0.5)
+
+    @pytest.mark.parametrize("method", [pcp_estimate, wls_estimate])
+    @pytest.mark.parametrize("N", [100, 1000])
+    def test_edge_records_pass_the_lattice_check(self, method, N):
+        # master-edge snapping moves each stamp by less than one T_m
+        series = edge_record(N)
+        grids = SearchGrids.for_schedule(N, float(series.times[1] - series.times[0]))
+        est = method(series, T_M, 5e-6, grids)
+        assert est.f_d_hat == pytest.approx(-32.0, abs=0.5)
 
 
 class TestPhaseError:
@@ -792,7 +843,8 @@ CLOCK_CALLS = {
     "residual_acf": lambda T_m, d: residual_acf(BOUNDARY_SERIES, FIXED, 10, T_m, d),
 }
 
-bad_t_m = st.one_of(st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf]))
+bad_t_m = st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True),
+                    st.sampled_from([math.nan, math.inf]))
 boundary = settings(max_examples=40, derandomize=True, deadline=None)
 
 
@@ -800,7 +852,8 @@ class TestBoundary:
     @boundary
     @given(st.sampled_from(sorted(CLOCK_CALLS)), bad_t_m)
     def test_rejects_bad_t_m(self, name, T_m):
-        # T_m = 0 would divide by zero, and T_m < 0 flip the sign of f_d
+        # T_m = 0 would divide by zero, T_m < 0 flip the sign of f_d, and
+        # T_m near 1e300 overflow WLS or give a range near -1e308 m
         with pytest.raises(ValueError, match="T_m"):
             CLOCK_CALLS[name](T_m, LINK.delta0)
 

@@ -362,6 +362,20 @@ class TestCli:
         assert "rttsync: error:" in capsys.readouterr().err
         assert not out_path.exists()
 
+    def test_sweep_rejects_clock_below_1_hz(self, tmp_path, capsys):
+        # the estimators take T_m of at most 1 s; a sweep's clock is held to it
+        # where it is built, as the row kernels do not check it
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(
+            "[experiment]\nf_m = 0.5\nf_d = -0.1\nrho = 2.0\ndelta0 = 5e-6\n"
+            "ts = 1e-3\nn = 30\nsnr_c_db = 40\nsnr_j_db = 40\n"
+            "estimators = uls, pcp, wls\nm = 2\n"
+        )
+        out_path = tmp_path / "report.csv"
+        assert cli_main(["sweep", "--config", str(cfg_path), "-o", str(out_path)]) == 2
+        assert "f_m must be at least 1 Hz" in capsys.readouterr().err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("argv", [
         ["estimate", "--method", "uls", "--t-m", "0"],
         ["estimate", "--method", "wls", "--t-m", "0"],
@@ -373,6 +387,13 @@ class TestCli:
         ["estimate", "--method", "pcp", "--delta0=-inf"],
         ["residuals", "--method", "uls", "--t-m", "inf"],
         ["residuals", "--f-d", "nan"],
+        # a clock slower than 1 Hz: WLS overflowed, ULS and PCP exited 0
+        # with a range near -7.5e307 m
+        ["estimate", "--method", "uls", "--t-m", "1e300"],
+        ["estimate", "--method", "pcp", "--t-m", "1e300"],
+        ["estimate", "--method", "wls", "--t-m", "1e300"],
+        ["residuals", "--method", "wls", "--t-m", "1e300"],
+        ["residuals", "--f-d", "-32", "--t-m", "2"],
     ])
     def test_rejects_bad_clock_parameters(self, tmp_path, capsys, argv):
         # each would otherwise give a NaN or sign-flipped estimate, or a
@@ -416,16 +437,23 @@ class TestCli:
         assert len(out_path.read_text().splitlines()) == 22
 
     def test_search_estimators_reject_bad_time_stamps(self, tmp_path, capsys):
-        # the grid's Nyquist limit comes from the first gap: 1 us here, 1 ms after
+        # the command line takes a record as the uniform schedule of its span:
+        # a gap of 1 us among gaps of 1 ms, or four missing samples, put the
+        # stamps off its lattice
         t = np.concatenate([[0.0, 1e-6], 1e-6 + 1e-3 * np.arange(1, 199)])
         series = sample_series(N=200)
         path = tmp_path / "irregular.csv"
         write_series(str(path), RttSeries(t, series.values))
+        gapped = tmp_path / "gapped.csv"
+        keep = np.ones(len(series), dtype=bool)
+        keep[[5, 6, 50, 120]] = False
+        write_series(str(gapped), RttSeries(series.times[keep], series.values[keep]))
         single = tmp_path / "single.csv"
         write_series(str(single), RttSeries(t[:1], series.values[:1]))
         for method in ("pcp", "wls"):
-            assert cli_main(["estimate", str(path), "--method", method]) == 2
-            assert "uniformly spaced" in capsys.readouterr().err
+            for bad in (path, gapped):
+                assert cli_main(["estimate", str(bad), "--method", method]) == 2
+                assert "uniformly spaced" in capsys.readouterr().err
             assert cli_main(["estimate", str(single), "--method", method]) == 2
             assert "at least 2 samples" in capsys.readouterr().err
         # edge-level records, whose emissions snap to master clock edges, pass
@@ -434,6 +462,19 @@ class TestCli:
         assert np.ptp(np.diff(read_series(str(edge)).times)) > 0.0
         for method in ("pcp", "wls"):
             assert cli_main(["estimate", str(edge), "--method", method]) == 0
+
+    def test_edge_record_off_whole_master_periods(self, tmp_path):
+        # Ts = 0.000987654321 s is no whole number of 10 ns periods: the first
+        # gap is off by up to one T_m, and a lattice built on it drifts 5.7e-3
+        # Ts from the stamps over N=1000; the span's keeps them within 1e-5 Ts
+        edge = tmp_path / "edge.csv"
+        assert cli_main(["simulate", "--generator", "edge", "--ts", "0.000987654321",
+                         "-n", "1000", "-o", str(edge)]) == 0
+        for method in ("pcp", "wls"):
+            out = tmp_path / f"{method}.csv"
+            assert cli_main(["estimate", str(edge), "--method", method, "-o", str(out)]) == 0
+            row = out.read_text().splitlines()[1].split(",")
+            assert float(row[1]) == pytest.approx(-32.0, abs=0.5)
 
     def test_calibrate_command(self, tmp_path):
         pairs_path = tmp_path / "pairs.csv"

@@ -180,6 +180,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             ClockTruth(f_m=1e8, f_d=0.0, phi=7.0)
 
+    def test_clock_rejects_below_1_hz(self):
+        # a master period above 1 s overflowed WLS near T_m = 1e300
+        ClockTruth(f_m=1.0, f_d=1e-4, phi=0.0)
+        with pytest.raises(ValueError, match="at least 1 Hz"):
+            ClockTruth(f_m=0.5, f_d=1e-4, phi=0.0)
+
     def test_series_rejects_nonincreasing_times(self):
         with pytest.raises(ValueError):
             RttSeries(np.array([0.0, 0.0, 1.0]), np.zeros(3))

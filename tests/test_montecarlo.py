@@ -1,10 +1,14 @@
 import dataclasses
 import hashlib
+import math
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rttsync import montecarlo
 from rttsync.estimators import (
@@ -23,8 +27,8 @@ from rttsync.montecarlo import (
     OutlierSpec,
     SweepReport,
     _outlier_draws,
+    _quartiles,
     _run_stack,
-    _summary,
     run_sweep,
 )
 
@@ -161,6 +165,20 @@ class TestRunSweep:
         digest = hashlib.sha256(report_to_csv(run_sweep(cfg)).encode()).hexdigest()
         assert digest == "8f7351e89ae9ab038ab0cdfc729e2410bbe6e834030977f50bf0b283ff1805b3"
 
+    # the shapes of the bench's sweeps: criterion 5 at M=1 (every percentile
+    # of one trial) and criterion 3 at M=5, WLS only
+    @pytest.mark.parametrize("shape, digest", [
+        (dict(schedule=SampleSchedule(0.0, 1e-3, 200), noise=NoiseSpec.from_snr(20.0, 20.0, T_M),
+              M=1, sweep_axis="f_d", sweep_values=(-200.0, -100.0, -32.0, 32.0, 100.0, 200.0)),
+         "bf701c903f13e50741ac8f459f0871f56c8f918d18b2217dc66a6a0e304644e2"),
+        (dict(schedule=SampleSchedule(0.0, 1e-3, 100), noise=NoiseSpec.from_snr(40.0, 40.0, T_M),
+              M=5, estimators=("WLS",)),
+         "c33b3a1b0a7cce670ec107a38577b0062cbeb5e88486b9302557e27aed87fa58"),
+    ], ids=["c5", "c3"])
+    def test_bench_shape_bits_pinned(self, shape, digest):
+        cfg = base_config(seed=11, **shape)
+        assert hashlib.sha256(report_to_csv(run_sweep(cfg)).encode()).hexdigest() == digest
+
     def test_rmse_accessor(self):
         cfg = base_config(estimators=("ULS",))
         rep = run_sweep(cfg)
@@ -254,17 +272,29 @@ def serial_trial(cfg, sweep_idx, trial_seed):
     return results
 
 
-def serial_report(cfg):
+def serial_summary(e):
+    """RMSE, quartiles and extremes of one parameter's errors e (n,), each
+    with its own numpy call; the math.nan object for every statistic when
+    no trial was kept."""
+    if not e.size:
+        return dict.fromkeys(("rmse", "p25", "p50", "p75", "min", "max"), math.nan)
+    p25, p50, p75 = np.percentile(e, (25, 50, 75)).tolist()
+    return {"rmse": float(np.sqrt(np.mean(e**2))), "p25": p25, "p50": p50, "p75": p75,
+            "min": float(np.min(e)), "max": float(np.max(e))}
+
+
+def serial_report(cfg, rejected=()):
     """The report of the per-trial loop run_sweep replaced: every trial alone
     through serial_trial, its errors gathered per point and estimator and
-    summarised by _summary one parameter at a time."""
+    summarised by serial_summary one parameter at a time. A trial
+    (estimator, sweep index, iteration) in rejected counts as failed."""
     rows = []
     for sweep_idx, value in enumerate(cfg.sweep_values):
         collected = {name: [] for name in cfg.estimators}
         failures = {name: 0 for name in cfg.estimators}
         for it in range(cfg.M):
             for name, errs in serial_trial(cfg, sweep_idx, (cfg.seed, sweep_idx, it)).items():
-                if errs is None:
+                if errs is None or (name, sweep_idx, it) in rejected:
                     failures[name] += 1
                 else:
                     collected[name].append(errs)
@@ -283,10 +313,9 @@ def serial_report(cfg):
                 "n_failed": failures[name],
             }
             for param, e in per_param.items():
-                stats = _summary(e[None])
-                row[f"rmse_{param}"] = stats["rmse"][0]
-                for stat in ("p25", "p50", "p75", "min", "max"):
-                    row[f"{stat}_{param}"] = stats[stat][0]
+                stats = serial_summary(np.ascontiguousarray(e))
+                for stat in ("rmse", "p25", "p50", "p75", "min", "max"):
+                    row[f"{stat}_{param}"] = stats[stat]
             rows.append(row)
     return SweepReport(sweep_axis=cfg.sweep_axis, rows=rows)
 
@@ -357,6 +386,27 @@ class TestStackedSweep:
                           sweep_axis="f_d", sweep_values=(-32.0, 100.0))
         assert run_sweep(cfg).rows == serial_report(cfg).rows
 
+    def test_rows_keep_some_trials(self, monkeypatch):
+        # 3 records per stack and ULS rejects the second stack, trials 3-5:
+        # point -32 keeps 3 of 4 ULS trials, point 100 keeps 2, and each
+        # other estimator all 4, so the summary sees n = 2, 3 and 4
+        monkeypatch.setattr(montecarlo, "_STACK_SAMPLES", 150)
+        uls_rows, calls = montecarlo.estimators._uls_rows, []
+
+        def second_stack_rejected(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValueError("rejected")
+            return uls_rows(*args)
+
+        monkeypatch.setattr(montecarlo.estimators, "_uls_rows", second_stack_rejected)
+        cfg = base_config(estimators=ALL, M=4, outliers=OutlierSpec(fraction=0.05),
+                          sweep_axis="f_d", sweep_values=(-32.0, 100.0))
+        report = run_sweep(cfg)
+        assert [report.row(v, "ULS")["n_failed"] for v in (-32.0, 100.0)] == [1, 2]
+        rejected = {("ULS", 0, 3), ("ULS", 1, 0), ("ULS", 1, 1)}
+        assert report.rows == serial_report(cfg, rejected).rows
+
     def test_one_row_stack_equals_serial_trial(self):
         cfg = base_config(estimators=ALL, **STACKING_CASES["outliers"])
         for sweep_idx, point in enumerate(cfg.points):
@@ -367,6 +417,17 @@ class TestStackedSweep:
                 errors = _run_stack(cfg, schedule, grids, [point], [seed])
                 assert {name: tuple(err[0].tolist()) for name, err in errors.items()} == \
                     serial_trial(cfg, sweep_idx, seed)
+
+
+class TestQuartiles:
+    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 60)),
+                  elements=st.one_of(st.sampled_from((0.0, 1.0, -2.5, 1e-300)),
+                                     st.floats(-1e300, 1e300))))
+    def test_bits_equal_np_percentile(self, x):
+        x = x + 0.0  # no -0.0: numpy's partition may order mixed zeros otherwise
+        got = _quartiles(np.sort(x, axis=-1))
+        want = np.percentile(x, (25, 50, 75), axis=-1).T
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestTrialErrors:
