@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io as _io
 import sys
 
 from . import analysis, edge_sim, estimators, io, model, montecarlo
@@ -158,12 +156,7 @@ def _cmd_residuals(args) -> int:
     else:
         est = _estimate(series, args.method, args)
     report = analysis.residual_acf(series, est, args.max_lag, args.t_m, args.delta0)
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["lag", "acf", "bound"])
-    for lag, value in zip(report.lags, report.acf):
-        writer.writerow([int(lag), repr(float(value)), repr(report.bound)])
-    io.atomic_write_text(args.output, buf.getvalue())
+    io.atomic_write_text(args.output, io.acf_to_csv(report))
     sys.stdout.write(f"fraction_inside={report.fraction_inside!r}\n")
     return 0
 

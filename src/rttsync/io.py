@@ -1,5 +1,5 @@
-"""File formats: RTT series CSV, estimate records, sweep report CSV,
-calibration curve JSON, and INI-style sweep configuration files.
+"""File formats: RTT series, estimate, sweep report and residual ACF CSV,
+calibration pairs CSV and curve JSON, and INI sweep configuration files.
 
 All floats are written as shortest round-trip decimal text (repr), which
 carries 17 significant digits when needed, so write/read round-trips are
@@ -10,28 +10,52 @@ from __future__ import annotations
 
 import configparser
 import csv
+import dataclasses
 import io as _io
 import json
 import os
 
 import numpy as np
 
-from .analysis import CalibrationCurve
+from .analysis import AcfReport, CalibrationCurve
 from .estimators import Estimate
-from .model import (
-    ClockTruth,
-    LinkTruth,
-    NoiseSpec,
-    RttSeries,
-    SampleSchedule,
-)
+from .model import ClockTruth, LinkTruth, NoiseSpec, RttSeries, SampleSchedule
 from .montecarlo import ExperimentConfig, OutlierSpec, SweepReport
 
 SERIES_HEADER = ("t_seconds", "y_seconds")
 
+_CURVE_FIELDS = tuple(f.name for f in dataclasses.fields(CalibrationCurve))
 
-def _fmt(x) -> str:
-    return repr(float(x))
+
+def _csv_text(header, rows) -> str:
+    """The one CSV writer: the header line, then one line per row, each
+    ending in LF; float cells as repr(float), other cells as str."""
+    buf = _io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def _read_columns(path: str, header: tuple) -> np.ndarray:
+    """The one CSV reader: (rows, len(header)) floats of a file whose first
+    line is header. LF or CRLF line ends; blank lines are skipped; a '#'
+    line, a quoted number or a row of another width is an error."""
+    with open(path) as fh:
+        if tuple(fh.readline().rstrip("\n").split(",")) != header:
+            raise ValueError(f"{path}: expected header {','.join(header)}")
+        body = fh.read()
+    if not body.strip():
+        raise ValueError(f"{path}: no samples")
+    try:
+        # comments=None: a '#' line is a malformed row, not a comment
+        data = np.loadtxt(_io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed CSV row: {exc}") from None
+    if data.shape[1] != len(header):
+        raise ValueError(
+            f"{path}: malformed CSV row: {data.shape[1]} columns, expected {len(header)}")
+    return data
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -58,149 +82,116 @@ def write_series(path: str, series: RttSeries) -> None:
 
 
 def read_series(path: str) -> RttSeries:
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if tuple(header.split(",")) != SERIES_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(SERIES_HEADER)}")
-        body = fh.read()
-    if not body.strip():
-        raise ValueError(f"{path}: no samples")
-    try:
-        # comments=None: a '#' line is a malformed row, not a comment
-        data = np.loadtxt(_io.StringIO(body), delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed CSV row: {exc}") from None
-    if data.shape[1] != 2:
-        raise ValueError(f"{path}: malformed CSV row: {data.shape[1]} columns, expected 2")
-    return RttSeries(data[:, 0], data[:, 1])
+    return RttSeries(*_read_columns(path, SERIES_HEADER).T)
 
 
 def estimate_to_csv(estimate: Estimate) -> str:
     rec = estimate.to_record()
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(rec.keys())
-    writer.writerow(
-        [rec["method"]] + [_fmt(rec[k]) for k in ("f_d_hat_hz", "phi_hat_rad", "rho_hat_m")]
-        + [rec["n_used"], rec["n_downweighted"]]
-    )
-    return buf.getvalue()
+    return _csv_text(rec.keys(), [rec.values()])
 
 
 def report_to_csv(report: SweepReport) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SweepReport.COLUMNS)
-    for row in report.rows:
-        out = []
-        for col in SweepReport.COLUMNS:
-            val = row[col]
-            out.append(_fmt(val) if isinstance(val, float) else val)
-        writer.writerow(out)
-    return buf.getvalue()
+    cols = SweepReport.COLUMNS
+    return _csv_text(cols, ([row[col] for col in cols] for row in report.rows))
 
 
 def write_report(path: str, report: SweepReport) -> None:
     atomic_write_text(path, report_to_csv(report))
 
 
+def acf_to_csv(report: AcfReport) -> str:
+    rows = zip(report.lags.tolist(), report.acf.tolist(), [report.bound] * len(report.lags))
+    return _csv_text(("lag", "acf", "bound"), rows)
+
+
 def curve_to_json(curve: CalibrationCurve) -> str:
-    return json.dumps(
-        {
-            "coefficients": [float(c) for c in curve.coefficients],
-            "offset": curve.offset,
-            "scale": curve.scale,
-            "domain_lo": curve.domain_lo,
-            "domain_hi": curve.domain_hi,
-        },
-        indent=2,
-    ) + "\n"
+    data = {name: getattr(curve, name) for name in _CURVE_FIELDS}
+    data["coefficients"] = curve.coefficients.tolist()
+    return json.dumps(data, indent=2) + "\n"
 
 
 def read_curve(path: str) -> CalibrationCurve:
     with open(path) as fh:
         data = json.load(fh)
-    return CalibrationCurve(
-        coefficients=np.asarray(data["coefficients"], dtype=float),
-        offset=data["offset"],
-        scale=data["scale"],
-        domain_lo=data["domain_lo"],
-        domain_hi=data["domain_hi"],
-    )
+    if not isinstance(data, dict) or sorted(data) != sorted(_CURVE_FIELDS):
+        raise ValueError(f"{path}: expected a JSON object with keys {', '.join(_CURVE_FIELDS)}")
+    return CalibrationCurve(**data)
 
 
 def read_calibration_pairs(path: str) -> np.ndarray:
-    """CSV with header range_m,rtt_seconds."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != ("range_m", "rtt_seconds"):
-        raise ValueError(f"{path}: expected header range_m,rtt_seconds")
-    try:
-        return np.array([[float(r[0]), float(r[1])] for r in rows[1:]])
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"{path}: malformed CSV row: {exc}") from None
+    """(rows, 2) of a CSV file with header range_m,rtt_seconds."""
+    return _read_columns(path, ("range_m", "rtt_seconds"))
+
+
+def _boolean(text: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+# Each [experiment] key: the object it sets, the field it sets there, and how
+# its value is parsed. A key the file does not give takes the field's default.
+_CONFIG_KEYS = {
+    "f_m": ("clock", "f_m", float), "f_d": ("clock", "f_d", float),
+    "rho": ("link", "rho", float), "delta0": ("link", "delta0", float),
+    "t0": ("schedule", "t0", float), "ts": ("schedule", "Ts", float), "n": ("schedule", "N", int),
+    "snr_c_db": ("snr", "snr_c_db", float), "snr_j_db": ("snr", "snr_j_db", float),
+    "sigma_n": ("noise", "sigma_n", float), "sigma_v": ("noise", "sigma_v", float),
+    "outlier_fraction": ("outliers", "fraction", float),
+    "outlier_lo": ("outliers", "lo", float), "outlier_hi": ("outliers", "hi", float),
+    "m": ("config", "M", int), "seed": ("config", "seed", int),
+    "estimators": ("config", "estimators",
+                   lambda s: tuple(v.strip().upper() for v in s.split(",") if v.strip())),
+    "sweep_axis": ("config", "sweep_axis", str),
+    "sweep_values": ("config", "sweep_values",
+                     lambda s: tuple(float(v) for v in s.replace(",", " ").split())),
+    "preprocess": ("config", "preprocess", _boolean), "refine": ("config", "refine", _boolean),
+}
 
 
 def read_experiment_config(path: str) -> ExperimentConfig:
-    """Parse a flat INI sweep configuration.
+    """Parse a flat INI sweep configuration: one [experiment] section.
 
-    Required section [experiment]; noise given either as snr_c_db/snr_j_db
-    or as sigma_n/sigma_v directly.
+    Required keys: f_m, f_d (Hz), rho (m), delta0, ts (s) and n (samples).
+    Optional keys, each defaulting as its dataclass field does: t0 (s,
+    default 0); the noise as the pair snr_c_db/snr_j_db or as sigma_n
+    (s)/sigma_v (rad), not both; outlier_fraction, then outlier_lo and
+    outlier_hi (s); m (trials per point), seed, estimators (comma list of
+    uls, pcp, wls), sweep_axis, sweep_values (comma or space list),
+    preprocess and refine (booleans). An unknown or repeated key, or a
+    malformed value, is a ValueError.
     """
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ValueError(f"cannot read config {path}")
-    if "experiment" not in parser:
-        raise ValueError(f"{path}: missing [experiment] section")
-    sec = parser["experiment"]
-
-    def need(key: str) -> str:
+    try:
+        if not parser.read(path):
+            raise ValueError(f"cannot read config {path}")
+        if "experiment" not in parser:
+            raise ValueError(f"{path}: missing [experiment] section")
+        sec = dict(parser["experiment"])
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: malformed config: {exc}") from None
+    given = {}
+    for key, text in sec.items():
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}: unknown key {key!r}")
+        group, name, parse = _CONFIG_KEYS[key]
+        try:
+            given.setdefault(group, {})[name] = parse(text)
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: bad value {text!r} for key {key!r}") from None
+    required = ("f_m", "f_d", "rho", "delta0", "ts", "n")
+    required += ("snr_c_db", "snr_j_db") if "snr" in given else ()
+    required += ("outlier_fraction",) if "outliers" in given else ()
+    for key in required:
         if key not in sec:
             raise ValueError(f"{path}: missing key {key!r}")
-        return sec[key]
-
-    f_m = float(need("f_m"))
-    clock = ClockTruth(f_m=f_m, f_d=float(need("f_d")), phi=0.0)
-    link = LinkTruth(rho=float(need("rho")), delta0=float(need("delta0")))
-    schedule = SampleSchedule(
-        t0=float(sec.get("t0", "0.0")), Ts=float(need("ts")), N=int(need("n"))
-    )
-    if "snr_c_db" in sec or "snr_j_db" in sec:
-        noise = NoiseSpec.from_snr(
-            float(need("snr_c_db")), float(need("snr_j_db")), clock.T_m
-        )
-    else:
-        noise = NoiseSpec(
-            sigma_v=float(sec.get("sigma_v", "0.0")),
-            sigma_n=float(sec.get("sigma_n", "0.0")),
-        )
-    outliers = None
-    if "outlier_fraction" in sec:
-        outliers = OutlierSpec(
-            fraction=float(sec["outlier_fraction"]),
-            lo=float(sec.get("outlier_lo", "3.5e-6")),
-            hi=float(sec.get("outlier_hi", "4.9e-6")),
-        )
-    estimators = tuple(
-        name.strip().upper()
-        for name in sec.get("estimators", "ULS,PCP,WLS").split(",")
-        if name.strip()
-    )
-    sweep_axis = sec.get("sweep_axis", "none")
-    sweep_values = tuple(
-        float(v) for v in sec.get("sweep_values", "0.0").replace(",", " ").split()
-    )
+    if "snr" in given and "noise" in given:
+        raise ValueError(f"{path}: give snr_c_db/snr_j_db or sigma_n/sigma_v, not both")
+    clock, snr = ClockTruth(**given["clock"]), given.get("snr")
     return ExperimentConfig(
         clock=clock,
-        link=link,
-        schedule=schedule,
-        noise=noise,
-        outliers=outliers,
-        M=int(sec.get("m", "1000")),
-        seed=int(sec.get("seed", "0")),
-        estimators=estimators,
-        sweep_axis=sweep_axis,
-        sweep_values=sweep_values,
-        preprocess=sec.getboolean("preprocess", fallback=True),
-        refine=sec.getboolean("refine", fallback=True),
+        link=LinkTruth(**given["link"]),
+        schedule=SampleSchedule(**{"t0": 0.0, **given["schedule"]}),
+        noise=(NoiseSpec.from_snr(snr["snr_c_db"], snr["snr_j_db"], clock.T_m) if snr
+               else NoiseSpec(**given.get("noise", {}))),
+        outliers=OutlierSpec(**given["outliers"]) if "outliers" in given else None,
+        **given.get("config", {}),
     )

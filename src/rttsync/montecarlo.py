@@ -29,6 +29,11 @@ SWEEP_AXES = ("none", "snr_c", "snr_j", "N", "outlier_fraction", "f_d")
 
 ESTIMATORS = ("ULS", "PCP", "WLS")
 
+# The report's error parameters and the statistics of each, in column order
+_PARAMS = ("fd_hz", "phi_s", "rho_m")
+_STATS = ("rmse", "p25", "p50", "p75", "min", "max")
+_STAT_KEYS = [f"{stat}_{param}" for param in _PARAMS for stat in _STATS]
+
 
 @dataclass(frozen=True)
 class OutlierSpec:
@@ -75,13 +80,15 @@ class ExperimentConfig:
         if self.sweep_axis not in SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {self.sweep_axis!r}")
         values = tuple(float(v) for v in self.sweep_values)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("sweep values must be finite")
+        if not values or not all(math.isfinite(v) for v in values):
+            raise ValueError("sweep values must be one or more finite numbers")
         if list(values) != sorted(values):
             raise ValueError("sweep values must be sorted")
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise ValueError(f"unknown estimators {sorted(unknown)}")
+        if not self.estimators or len(set(self.estimators)) != len(self.estimators):
+            raise ValueError("estimators must be one or more, each named once")
         object.__setattr__(self, "sweep_values", values)
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "points", tuple(_apply_sweep(self, v) for v in values))
@@ -94,12 +101,9 @@ class SweepReport:
     sweep_axis: str
     rows: list
 
-    COLUMNS = (
-        ["sweep_axis", "sweep_value", "estimator", "n_trials", "n_failed",
-         "rmse_fd_hz", "rmse_phi_s", "rmse_rho_m"]
-        + [f"{stat}_{p}" for p in ("fd_hz", "phi_s", "rho_m")
-           for stat in ("p25", "p50", "p75", "min", "max")]
-    )
+    COLUMNS = (["sweep_axis", "sweep_value", "estimator", "n_trials", "n_failed"]
+               + [f"rmse_{param}" for param in _PARAMS]
+               + [key for key in _STAT_KEYS if not key.startswith("rmse_")])
 
     def row(self, sweep_value: float, estimator: str) -> dict:
         for r in self.rows:
@@ -253,10 +257,6 @@ def _quartiles(s: np.ndarray) -> np.ndarray:
     a, b, g = s[..., lo], s[..., hi], np.array([x - i for x, i in zip(v, lo)])
     d = b - a
     return np.where(g < 0.5, a + d * g, b - d * (1.0 - g))
-
-
-_STATS = ("rmse", "p25", "p50", "p75", "min", "max")
-_STAT_KEYS = [f"{stat}_{param}" for param in ("fd_hz", "phi_s", "rho_m") for stat in _STATS]
 
 
 def _report_rows(cfg: ExperimentConfig, values: list, errors: dict) -> list:

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from rttsync.analysis import calibrate_range
+from rttsync.analysis import calibrate_range, residual_acf
 from rttsync.cli import _build_parser, cli_main
 from rttsync.estimators import SearchGrids, robust_weights, uls_estimate, wls_estimate
 from rttsync.io import (
+    acf_to_csv,
     atomic_write_text,
     curve_to_json,
     estimate_to_csv,
@@ -30,7 +31,7 @@ from rttsync.model import (
     SampleSchedule,
     generate_series,
 )
-from rttsync.montecarlo import ExperimentConfig, run_sweep
+from rttsync.montecarlo import ExperimentConfig, OutlierSpec, run_sweep
 
 
 def sample_series(N=20, seed=0):
@@ -156,6 +157,25 @@ class TestEstimateCsv:
         assert fields[0] == "ULS"
         assert float(fields[1]) == est.f_d_hat
 
+    def test_matches_csv_writer_rendering(self):
+        # the reference: the header, then one csv.writer row with the repr of
+        # each float; 10% outliers make n_downweighted nonzero
+        series = sample_series(N=200, seed=2)
+        values = series.values.copy()
+        values[::10] = 4e-6
+        series = RttSeries(series.times, values)
+        est = wls_estimate(series, 1e-8, 5e-6, SearchGrids.for_schedule(200, 1e-3),
+                           robust_weights(series))
+        assert est.weights.n_downweighted > 0
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["method", "f_d_hat_hz", "phi_hat_rad", "rho_hat_m", "n_used",
+                         "n_downweighted"])
+        writer.writerow(["WLS", repr(float(est.f_d_hat)), repr(float(est.phi_hat)),
+                         repr(float(est.rho_hat)), est.weights.n_used,
+                         est.weights.n_downweighted])
+        assert estimate_to_csv(est) == buf.getvalue()
+
 
 class TestReportCsv:
     def test_round_trip_text_stable(self, tmp_path):
@@ -174,6 +194,49 @@ class TestReportCsv:
         path = tmp_path / "r.csv"
         write_report(str(path), report)
         assert path.read_text() == text1
+
+    def test_matches_csv_writer_rendering(self):
+        # the reference: one csv.writer row per report row, in these columns,
+        # with the repr of each float; PCP rejects every 3-sample record, so
+        # its rows hold NaN
+        cfg = ExperimentConfig(
+            clock=ClockTruth(1e8, -32.0, 0.0),
+            link=LinkTruth(rho=2.0, delta0=5e-6),
+            schedule=SampleSchedule(0.0, 1e-3, 30),
+            noise=NoiseSpec.from_snr(30.0, 30.0, 1e-8),
+            outliers=OutlierSpec(fraction=0.1),
+            M=3,
+            sweep_axis="N",
+            sweep_values=(3.0, 30.0),
+        )
+        report = run_sweep(cfg)
+        columns = (["sweep_axis", "sweep_value", "estimator", "n_trials", "n_failed",
+                    "rmse_fd_hz", "rmse_phi_s", "rmse_rho_m"]
+                   + [f"{stat}_{p}" for p in ("fd_hz", "phi_s", "rho_m")
+                      for stat in ("p25", "p50", "p75", "min", "max")])
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in report.rows:
+            writer.writerow([repr(float(row[c])) if isinstance(row[c], float) else row[c]
+                             for c in columns])
+        assert report.row(3.0, "PCP")["n_failed"] == 3
+        assert report_to_csv(report) == buf.getvalue()
+        assert ",nan," in buf.getvalue()
+
+
+class TestAcfCsv:
+    def test_matches_csv_writer_rendering(self):
+        # the reference: one csv.writer row per lag, the lag as an integer and
+        # the repr of each float
+        series = sample_series(N=100, seed=1)
+        report = residual_acf(series, uls_estimate(series, 1e-8, 5e-6), 20, 1e-8, 5e-6)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["lag", "acf", "bound"])
+        for lag, value in zip(report.lags, report.acf):
+            writer.writerow([int(lag), repr(float(value)), repr(report.bound)])
+        assert acf_to_csv(report) == buf.getvalue()
 
 
 class TestCurveJson:
@@ -194,6 +257,23 @@ class TestCurveJson:
         curve = calibrate_range(np.column_stack([ranges, rtts]))
         data = json.loads(curve_to_json(curve))
         assert len(data["coefficients"]) == 6
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("scale"),
+        lambda d: d.update(order=5),
+        lambda d: [d["offset"]],
+    ], ids=["missing-key", "extra-key", "not-an-object"])
+    def test_rejects_malformed_file(self, tmp_path, edit):
+        # a missing key raised KeyError and a JSON list TypeError
+        ranges = np.linspace(1.0, 20.0, 10)
+        rtts = 5e-6 + 2.0 * ranges / SPEED_OF_LIGHT
+        data = json.loads(curve_to_json(calibrate_range(np.column_stack([ranges, rtts]))))
+        edited = edit(data)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(edited if isinstance(edited, list) else data))
+        with pytest.raises(ValueError, match="c.json: expected a JSON object with keys "
+                                             "coefficients, offset, scale, domain_lo, domain_hi"):
+            read_curve(str(path))
 
 
 class TestExperimentConfigFile:
@@ -232,6 +312,17 @@ class TestExperimentConfigFile:
         with pytest.raises(ValueError):
             read_experiment_config(str(path))
 
+    def test_absent_keys_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nf_m = 1e8\nf_d = -32\nrho = 2.0\ndelta0 = 5e-6\n"
+                        "ts = 1e-3\nn = 50\n")
+        assert read_experiment_config(str(path)) == ExperimentConfig(
+            clock=ClockTruth(1e8, -32.0),
+            link=LinkTruth(rho=2.0, delta0=5e-6),
+            schedule=SampleSchedule(0.0, 1e-3, 50),
+            noise=NoiseSpec(),
+        )
+
 
 class TestCalibrationPairs:
     def test_read(self, tmp_path):
@@ -245,6 +336,31 @@ class TestCalibrationPairs:
         path.write_text("rho,rtt\n1.0,5e-6\n")
         with pytest.raises(ValueError):
             read_calibration_pairs(str(path))
+
+    def test_skips_blank_lines(self, tmp_path):
+        # a blank line was "malformed CSV row: list index out of range"
+        path = tmp_path / "p.csv"
+        path.write_text("range_m,rtt_seconds\n1.0,5e-6\n\n2.0,5.1e-6\n\n")
+        np.testing.assert_array_equal(read_calibration_pairs(str(path)),
+                                      [[1.0, 5e-6], [2.0, 5.1e-6]])
+
+    # a third column was dropped, a quoted number read as a number, and a
+    # header-only file read as an empty array that calibrate_range rejected
+    @pytest.mark.parametrize("body, message", [
+        ("1.0,5e-6,junk\n", "malformed CSV row"),
+        ("1.0,5e-6,7.0\n", "malformed CSV row: 3 columns, expected 2"),
+        ('"1.0",5e-6\n', "malformed CSV row"),
+        ("", "no samples"),
+    ], ids=["third-column", "third-number", "quoted-number", "header-only"])
+    def test_rejects_what_series_files_reject(self, tmp_path, body, message):
+        path = tmp_path / "p.csv"
+        path.write_text("range_m,rtt_seconds\n" + body)
+        with pytest.raises(ValueError, match=f"p.csv: {message}"):
+            read_calibration_pairs(str(path))
+
+
+_CONFIG_BODY = ("f_m = 1e8\nf_d = -32\nrho = 2.0\ndelta0 = 5e-6\nts = 1e-3\nn = 30\n"
+                "estimators = uls\nm = 2\n")
 
 
 class TestCli:
@@ -360,6 +476,34 @@ class TestCli:
         rc = cli_main(["sweep", "--config", str(cfg_path), "-o", str(out_path)])
         assert rc == 2
         assert "rttsync: error:" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        # no section header and a repeated key gave a configparser traceback
+        (_CONFIG_BODY, "no section headers"),
+        ("[experiment]\n" + _CONFIG_BODY + "n = 40\n", "option 'n' in section 'experiment'"),
+        # a misspelt key was ignored, and the sweep ran noiseless
+        ("[experiment]\n" + _CONFIG_BODY + "snr_c_bd = 20\n", "unknown key 'snr_c_bd'"),
+        # the sigma was silently dropped
+        ("[experiment]\n" + _CONFIG_BODY + "snr_c_db = 20\nsnr_j_db = 20\nsigma_n = 1e-9\n",
+         "not both"),
+        ("[experiment]\n" + _CONFIG_BODY + "snr_c_db = 20\nsnr_j_db = 20\nsigma_v = 0.1\n",
+         "not both"),
+        # the bounds were silently dropped without a fraction
+        ("[experiment]\n" + _CONFIG_BODY + "outlier_lo = 1e-6\n",
+         "missing key 'outlier_fraction'"),
+        ("[experiment]\n" + _CONFIG_BODY + "seed = 1.5\n", "bad value '1.5' for key 'seed'"),
+        ("[experiment]\n" + _CONFIG_BODY + "refine = maybe\n",
+         "bad value 'maybe' for key 'refine'"),
+    ], ids=["no-section", "repeated-key", "unknown-key", "snr-and-sigma-n", "snr-and-sigma-v",
+            "bounds-without-fraction", "malformed-int", "malformed-boolean"])
+    def test_sweep_rejects_bad_config_file(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(text)
+        out_path = tmp_path / "report.csv"
+        assert cli_main(["sweep", "--config", str(cfg_path), "-o", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rttsync: error: ") and message in err
         assert not out_path.exists()
 
     def test_sweep_rejects_clock_below_1_hz(self, tmp_path, capsys):

@@ -65,6 +65,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             base_config(M=0)
 
+    # an empty list failed in run_sweep with numpy's "need at least one array
+    # to stack"; a repeated name ran that estimator twice; an empty sweep
+    # gave a header-only report
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(estimators=()), "estimators must be one or more"),
+        (dict(estimators=("ULS", "WLS", "ULS")), "each named once"),
+        (dict(sweep_axis="snr_c", sweep_values=()), "one or more finite"),
+    ])
+    def test_rejects_empty_or_repeated_lists(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            base_config(**kwargs)
+
     # each of these used to pass construction and then run (N=20.5 as 20)
     # or raise only once the sweep reached the bad point
     @pytest.mark.parametrize("axis, values", [
