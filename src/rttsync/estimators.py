@@ -271,14 +271,22 @@ def residuals(
 
 
 def _uls_rows(t, y, T_m, delta0):
-    """(f_d, phi, rho) of ULS for each row of y (B, N) sampled at t."""
+    """(f_d, phi, rho) of ULS for each row of y (B, N) sampled at t. The line
+    fits carry np.polyfit's bits: its scaled design matrix is built once, and
+    lstsq runs per row, as a stacked right-hand side rounds differently."""
     if y.shape[1] < 2:
         raise ValueError("need at least 2 samples")
     y_bar = np.mean(y, axis=1, keepdims=True)
     rho = 0.5 * SPEED_OF_LIGHT * (y_bar[:, 0] - 0.5 * T_m - delta0)
     u = unwrap((TWO_PI / T_m) * (y - y_bar))
-    # one fit per row: a stacked polyfit rounds differently
-    slope, intercept = np.array([np.polyfit(t, row, 1) for row in u]).T
+    lhs = np.vander(t, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    rcond = t.size * np.finfo(lhs.dtype).eps
+    fits = [np.linalg.lstsq(lhs, row, rcond) for row in u]
+    if fits[0][2] < 2:
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning)
+    slope, intercept = (np.array([c for c, *_ in fits]) / scale).T
     # centering by y_bar removed the sawtooth mean (~pi); add it back
     return slope / TWO_PI, wrap_to_2pi(intercept + math.pi), rho
 
@@ -303,22 +311,19 @@ def uls_estimate(series: RttSeries, T_m: float, delta0: float) -> Estimate:
     )
 
 
-def _periodogram(y, t, f0, df, K):
-    """|sum_i y_i exp(-2j pi (f0 + k*df) t_i)|^2 for k = 0..K-1 and each row
-    of y (B, N), with its own f0 (B,), by direct summation on the exact
-    stamps t (N,) or (B, N): the refinement kernel. Row 0 of each (K, N)
-    phasor matrix is an exact exp at f0 and row k is row k-1 times
-    w = exp(-2j pi df t), so the K rows cost two exp rows. Refinement asks
-    for _REFINE_POINTS rows, few enough that the rounding of the recurrence
-    stays near machine precision."""
-    rows = np.empty((K,) + y.shape, dtype=complex)
-    np.exp((-2j * math.pi * f0[:, None]) * t, out=rows[0])
+def _zoom_power(u, t, df, P):
+    """|sum_i u_i exp(-2j pi k*df t_i)|^2, k = 0..K-1, for each row of u (B, N)
+    by direct summation on the exact stamps t (N,) or (B, N): the refinement
+    kernel. It fills the phasor table P, (K,) + t.shape, with
+    P[k] = exp(-2j pi k*df t) = w^k by K-1 products from one exp row; at
+    _REFINE_POINTS rows the recurrence rounds near machine precision."""
     w = np.exp((-2j * math.pi * df) * t)
-    # the product steps fastest when w has the rows' shape, not broadcast
-    w = w.reshape(y.shape) if w.size == y.size else np.tile(w, (y.shape[0], 1))
-    for k in range(1, K):
-        np.multiply(rows[k - 1], w, out=rows[k])
-    return np.abs(np.matmul(rows.transpose(1, 0, 2), y[:, :, None])[:, :, 0]) ** 2
+    P[0] = 1.0
+    for k in range(1, len(P)):
+        np.multiply(P[k - 1], w, out=P[k])
+    if t.ndim == 1:
+        return np.abs(u @ P.T) ** 2
+    return np.abs(np.matmul(P.transpose(1, 0, 2), u[:, :, None])[:, :, 0]) ** 2
 
 
 def _fft_periodogram(y, t, grids, positive=False):
@@ -344,22 +349,32 @@ def _peak_frequency(y, t, grids, refine, positive=False):
     and clipped to |f| <= f_max, and with refine=True two local searches of
     _REFINE_POINTS frequencies that each shrink the step tenfold around it,
     kept within 0 < f <= f_max (|f| <= f_max if not `positive`). Returns
-    (f (B,), final frequency step)."""
+    (f (B,), final frequency step). Each row is demodulated once, to u at
+    its band's lowest frequency; a level takes one phasor table, shared by
+    rows that share stamps, and one row of it moves u to the next band."""
     F = grids.F[grids.F > 0.0] if positive else grids.F
     f = F[np.argmax(_fft_periodogram(y, t, grids, positive), axis=1)]
     # the grid edge n*df can round one ulp past f_max
     f, f_step = np.minimum(np.maximum(f, -grids.f_max), grids.f_max), grids.f_step
     if refine:
         rows = np.arange(y.shape[0])
-        for _ in range(_REFINE_LEVELS):
+        u = y * np.exp((-2j * math.pi) * (f - f_step)[:, None] * t)
+        P = np.empty((_REFINE_POINTS,) + t.shape, dtype=complex)
+        for level in range(_REFINE_LEVELS):
             local = f[:, None] + np.linspace(-f_step, f_step, _REFINE_POINTS)
             f_step /= _REFINE_FACTOR
-            power = _periodogram(y, t, local[:, 0], f_step, _REFINE_POINTS)
+            power = _zoom_power(u, t, f_step, P)
             drop = np.abs(local) > grids.f_max
             if positive:
                 drop |= local <= 0.0
             power[drop] = -math.inf
-            f = local[rows, np.argmax(power, axis=1)]
+            k = np.argmax(power, axis=1)
+            f = local[rows, k]
+            if level + 1 < _REFINE_LEVELS:
+                # the next band starts one step below local[k]: w^(k-1) = P[k - 1], or 1/w
+                shift = P[k - 1] if t.ndim == 1 else P[k - 1, rows]
+                shift[k == 0] = np.broadcast_to(P[1], u.shape)[k == 0].conj()
+                u *= shift
     return f, f_step
 
 

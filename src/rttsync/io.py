@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import io as _io
 import json
+import math
 import os
 
 import numpy as np
@@ -115,6 +116,10 @@ def read_curve(path: str) -> CalibrationCurve:
         data = json.load(fh)
     if not isinstance(data, dict) or sorted(data) != sorted(_CURVE_FIELDS):
         raise ValueError(f"{path}: expected a JSON object with keys {', '.join(_CURVE_FIELDS)}")
+    for key, v in data.items():
+        if not all(type(x) in (int, float) and math.isfinite(x)  # not bool, str or None
+                   for x in (v if type(v) is list else [v])):
+            raise ValueError(f"{path}: {key}: expected finite numbers, got {v!r}")
     return CalibrationCurve(**data)
 
 
@@ -174,7 +179,9 @@ def read_experiment_config(path: str) -> ExperimentConfig:
             raise ValueError(f"{path}: unknown key {key!r}")
         group, name, parse = _CONFIG_KEYS[key]
         try:
-            given.setdefault(group, {})[name] = parse(text)
+            given.setdefault(group, {})[name] = value = parse(text)
+            if value == ():  # an empty list
+                raise ValueError
         except (KeyError, ValueError):
             raise ValueError(f"{path}: bad value {text!r} for key {key!r}") from None
     required = ("f_m", "f_d", "rho", "delta0", "ts", "n")

@@ -295,7 +295,7 @@ def _report_rows(cfg: ExperimentConfig, values: list, errors: dict) -> list:
 
 
 # Trials per stack are capped at this many samples in all, which bounds the
-# (B, 21, N) complex refinement array at about 11 MB.
+# (21, B, n) phasor table of WLS rows on their own stamps at about 11 MB.
 _STACK_SAMPLES = 1 << 15
 
 

@@ -14,7 +14,8 @@ from rttsync.estimators import (
     WeightVector,
     _fft_periodogram,
     _peak_frequency,
-    _periodogram,
+    _uls_rows,
+    _zoom_power,
     _wls_search,
     pcp_estimate,
     phase_error,
@@ -304,6 +305,13 @@ def assert_matches_direct(power, direct):
     np.testing.assert_allclose(power, direct, rtol=1e-12, atol=1e-12 * direct.max())
 
 
+def zoom_power(x, t, f0, df, K):
+    """Refinement-kernel power of one record x at f0 + k*df, k = 0..K-1:
+    demodulated to f0 as _peak_frequency does, in a fresh phasor table."""
+    u = x[None] * np.exp((-2j * math.pi * f0) * t)
+    return _zoom_power(u, t, df, np.empty((K, t.size), dtype=complex))[0]
+
+
 def edge_record(N=200, f_d=-32.0):
     """Edge-simulated record (default N=200 at f_d = -32 Hz): master-edge
     snapping moves the stamps by up to one clock cycle, about 1e-5 of the
@@ -351,15 +359,15 @@ class TestPeriodogram:
         start = int(np.random.default_rng(seed).integers(0, grids.F.size - K + 1))
         F = grids.F[start:start + K]
         for x in inputs:
-            power = _periodogram(x[None], t, F[:1], grids.f_step, K)[0]
-            assert_matches_direct(power, direct_periodogram(x, t, F))
+            assert_matches_direct(zoom_power(x, t, F[0], grids.f_step, K),
+                                  direct_periodogram(x, t, F))
 
     def test_peak_at_tone(self):
         t = 1e-3 * np.arange(200)
         y = np.sin(TWO_PI * 60.0 * t)
         g = SearchGrids.for_schedule(N=200, Ts=1e-3)
         f_grid = g.F[g.F > 0.0]
-        power = _periodogram(y[None], t, f_grid[:1], g.f_step, f_grid.size)[0]
+        power = zoom_power(y, t, f_grid[0], g.f_step, f_grid.size)
         assert f_grid[np.argmax(power)] == pytest.approx(60.0, abs=g.f_step)
 
 
@@ -460,7 +468,87 @@ class TestFftPeriodogram:
         assert est.rho_hat == pytest.approx(2.0, abs=0.02)
 
 
+def direct_picks(x, t, grids, positive, levels):
+    """Per row of x (B, n) on stamps t (n,) or (B, n): the coarse FFT peak,
+    then `levels` refinement levels, each picking the argmax of the direct
+    sum over the same _REFINE_POINTS local frequencies as _peak_frequency."""
+    f, step = _peak_frequency(x, t, grids, refine=False, positive=positive)
+    t = np.broadcast_to(t, x.shape)
+    for _ in range(levels):
+        local = f[:, None] + np.linspace(-step, step, estimators._REFINE_POINTS)
+        step /= estimators._REFINE_FACTOR
+        power = np.stack([direct_periodogram(x[b], t[b], local[b]) for b in range(len(x))])
+        power[(np.abs(local) > grids.f_max) | (positive & (local <= 0.0))] = -math.inf
+        f = local[np.arange(len(x)), np.argmax(power, axis=1)]
+    return f
+
+
+def refinement_stack(seed, kind):
+    """(stamps, WLS z, PCP y0, grid) of a stack. "shared" and "masked": six
+    20-dB records of 200 samples, on shared consecutive stamps, or on
+    per-row stamps where rows 0-2 are consecutive (unmasked) and rows 3-5
+    keep 200 of 230 (masked). "jittered": 16 noise-only rows of 64 samples
+    on stamps jittered by up to 0.49 Ts, which the FFT rounds, so that some
+    first-level picks fall on the band's lowest frequency."""
+    rng = np.random.default_rng(seed)
+    if kind == "jittered":
+        t = 1e-3 * (np.arange(64) + rng.uniform(-0.49, 0.49, 64))
+        z = np.exp(1j * rng.uniform(0.0, TWO_PI, (16, 64)))
+        y = rng.standard_normal((16, 64))
+        return t, z, y - y.mean(axis=1, keepdims=True), SearchGrids.for_schedule(64, 1e-3)
+    noise = NoiseSpec.from_snr(20.0, 20.0, T_M)
+    ts, y = [], []
+    for b in range(6):
+        clock = ClockTruth(1e8, float(rng.uniform(-450.0, 450.0)), float(rng.uniform(0.0, TWO_PI)))
+        n = 230 if kind == "masked" and b >= 3 else 200
+        series = generate_series(SampleSchedule(0.37, 1e-3, n), clock, LINK, noise, seed=rng)
+        keep = np.sort(rng.permutation(n)[:200])
+        ts.append(series.times[keep])
+        y.append(series.values[keep])
+    t, y = (ts[0] if kind == "shared" else np.stack(ts)), np.stack(y)
+    z = np.exp((2j * math.pi / T_M) * (y - LINK.delta0))
+    return t, z, y - y.mean(axis=1, keepdims=True), SearchGrids.for_schedule(200, 1e-3)
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("levels", range(1, estimators._REFINE_LEVELS + 1))
+    @pytest.mark.parametrize("kind", ["shared", "masked", "jittered"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_each_level_picks_the_direct_argmax(self, monkeypatch, seed, kind, levels):
+        t, z, y0, grids = refinement_stack(870 + seed, kind)
+        monkeypatch.setattr(estimators, "_REFINE_LEVELS", levels)
+        for x, positive in ((z, False), (y0, True)):
+            f, _ = _peak_frequency(x, t, grids, refine=True, positive=positive)
+            np.testing.assert_array_equal(f, direct_picks(x, t, grids, positive, levels))
+
+    def test_jittered_stack_picks_the_lowest_point(self):
+        # the next level then starts below the first band: u moves by 1/w
+        t, z, _, grids = refinement_stack(870, "jittered")
+        coarse, step = _peak_frequency(z, t, grids, refine=False)
+        assert np.any(direct_picks(z, t, grids, False, 1) == coarse - step)
+
+
 class TestUls:
+    @pytest.mark.parametrize("B", [1, 6, 163])
+    def test_rows_match_polyfit_bits(self, B):
+        rng = np.random.default_rng(880 + B)
+        t = 0.37 + 1e-3 * np.arange(200)
+        noise = NoiseSpec.from_snr(20.0, 20.0, T_M)
+        Y = np.stack([generate_series(
+            SampleSchedule(0.37, 1e-3, 200),
+            ClockTruth(1e8, float(rng.uniform(-200.0, 200.0)), float(rng.uniform(0.0, TWO_PI))),
+            LINK, noise, seed=rng).values for _ in range(B)])
+        f_d, phi, _ = _uls_rows(t, Y, T_M, LINK.delta0)
+        u = unwrap((TWO_PI / T_M) * (Y - Y.mean(axis=1, keepdims=True)))
+        slope, intercept = np.array([np.polyfit(t, row, 1) for row in u]).T
+        np.testing.assert_array_equal(f_d, slope / TWO_PI)
+        np.testing.assert_array_equal(phi, wrap_to_2pi(intercept + math.pi))
+
+    def test_rank_deficient_stamps_warn_as_polyfit(self):
+        Y = np.array([[1e-9, 2e-9, 3e-9]])
+        with pytest.warns(np.exceptions.RankWarning):
+            _uls_rows(np.full(3, 0.5), Y, T_M, LINK.delta0)
+
     def test_noiseless_recovery(self):
         # 33 cycles over 1000 samples: wrap positions fill a dense lattice
         series, clock, link = noiseless(-33.0, 2.0, N=1000)
@@ -826,6 +914,27 @@ class TestMetamorphic:
             expected = a.phi_hat + TWO_PI * a.f_d_hat * T
             assert abs(phase_error(b.phi_hat, expected)) < 1e-9
             assert b.rho_hat == pytest.approx(a.rho_hat, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("N", [64, 100, 200])
+    @pytest.mark.parametrize("snr", [None, 40.0, 20.0], ids=["noiseless", "40dB", "20dB"])
+    def test_mirror_negates_frequency_and_phase(self, snr, N, seed):
+        # y' = 2d + T_m - y with d = delta0 + 2rho/c is the record of
+        # (-f_d, 2pi - phi, rho): T_m - h(t; f, phi) = h(t; -f, 2pi - phi), and
+        # the noise changes sign, so the range error does too. PCP's sign
+        # rule must pick the mirrored slope.
+        rng = np.random.default_rng([16, N, seed])
+        clock = ClockTruth(1e8, float(rng.uniform(-200.0, 200.0)), float(rng.uniform(0.0, TWO_PI)))
+        noise = NoiseSpec() if snr is None else NoiseSpec.from_snr(snr, snr, T_M)
+        series = generate_series(SampleSchedule(0.0, 1e-3, N), clock, LINK, noise, seed=rng)
+        d = LINK.delta0 + LINK.flight_time
+        mirror = series.with_values(2.0 * d + T_M - series.values)
+        final_step = (SearchGrids.for_schedule(N, 1e-3).f_step
+                      / estimators._REFINE_FACTOR ** estimators._REFINE_LEVELS)
+        for a, b in zip(estimate_all(series), estimate_all(mirror)):
+            assert abs(b.f_d_hat + a.f_d_hat) <= final_step
+            assert abs(phase_error(b.phi_hat, TWO_PI - a.phi_hat)) < 1e-3
+            assert b.rho_hat == pytest.approx(2.0 * LINK.rho - a.rho_hat, abs=1e-6)
 
 
 BOUNDARY_SERIES = noiseless(-32.0, 1.0, N=60)[0]

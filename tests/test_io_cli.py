@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -275,6 +276,24 @@ class TestCurveJson:
                                              "coefficients, offset, scale, domain_lo, domain_hi"):
             read_curve(str(path))
 
+    @pytest.mark.parametrize("value", ["abc", True, None, math.nan, math.inf],
+                             ids=["string", "boolean", "null", "nan", "infinity"])
+    @pytest.mark.parametrize("key", ["offset", "scale", "domain_lo", "domain_hi", "coefficients"])
+    def test_rejects_non_numeric_values(self, tmp_path, key, value):
+        # a string offset was read, and apply_calibration then raised TypeError;
+        # a NaN or boolean coefficient was read as NaN or 1.0
+        ranges = np.linspace(1.0, 20.0, 10)
+        rtts = 5e-6 + 2.0 * ranges / SPEED_OF_LIGHT
+        data = json.loads(curve_to_json(calibrate_range(np.column_stack([ranges, rtts]))))
+        if key == "coefficients":
+            data[key][3] = value
+        else:
+            data[key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"c.json: {key}: expected finite numbers"):
+            read_curve(str(path))
+
 
 class TestExperimentConfigFile:
     def test_parse_full(self, tmp_path):
@@ -495,8 +514,14 @@ class TestCli:
         ("[experiment]\n" + _CONFIG_BODY + "seed = 1.5\n", "bad value '1.5' for key 'seed'"),
         ("[experiment]\n" + _CONFIG_BODY + "refine = maybe\n",
          "bad value 'maybe' for key 'refine'"),
+        # an empty list got a message naming neither the file nor the key
+        ("[experiment]\n" + _CONFIG_BODY + "sweep_axis = f_d\nsweep_values =\n",
+         "exp.ini: bad value '' for key 'sweep_values'"),
+        ("[experiment]\n" + _CONFIG_BODY.replace("estimators = uls", "estimators ="),
+         "exp.ini: bad value '' for key 'estimators'"),
     ], ids=["no-section", "repeated-key", "unknown-key", "snr-and-sigma-n", "snr-and-sigma-v",
-            "bounds-without-fraction", "malformed-int", "malformed-boolean"])
+            "bounds-without-fraction", "malformed-int", "malformed-boolean", "empty-sweep-values",
+            "empty-estimators"])
     def test_sweep_rejects_bad_config_file(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "exp.ini"
         cfg_path.write_text(text)
