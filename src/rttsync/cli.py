@@ -68,6 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     res.add_argument("--delta0", type=float, default=5e-6)
     res.add_argument("--max-lag", type=int, default=50)
     res.add_argument("-o", "--output", required=True)
+    res.set_defaults(f_max=None, no_refine=False)
 
     cal = sub.add_parser("calibrate", help="fit a range calibration curve")
     cal.add_argument("pairs", help="CSV with header range_m,rtt_seconds")
@@ -82,15 +83,14 @@ def _grids_for(series, args):
     if len(series) < 2:
         raise ValueError("need at least 2 samples")
     ts = float(series.times[-1] - series.times[0]) / (len(series) - 1)
-    f_max = getattr(args, "f_max", None)
-    return estimators.SearchGrids.for_schedule(len(series), ts, f_max=f_max)
+    return estimators.SearchGrids.for_schedule(len(series), ts, f_max=args.f_max)
 
 
 def _estimate(series, method: str, args) -> estimators.Estimate:
     if method == "uls":
         return estimators.uls_estimate(series, args.t_m, args.delta0)
     grids = _grids_for(series, args)
-    refine = not getattr(args, "no_refine", False)
+    refine = not args.no_refine
     if method == "pcp":
         series = estimators.preprocess_outliers(series)
         return estimators.pcp_estimate(series, args.t_m, args.delta0, grids, refine=refine)

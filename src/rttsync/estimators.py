@@ -10,6 +10,7 @@ their grid's Ts (SearchGrids.check_sampling). Anything else is a ValueError.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -212,6 +213,14 @@ def _replace_outliers(y, mask, med):
     return out
 
 
+def _warn_uniform(zero):
+    """One warning naming how many records, of those flagged in zero (B,),
+    fall back to uniform weights for a zero MAD with nonzero deviations."""
+    if zero.any():
+        warnings.warn(f"zero MAD with nonzero deviations in {np.count_nonzero(zero)} of "
+                      f"{zero.size} records; using uniform weights for them")
+
+
 def robust_weights(series: RttSeries) -> WeightVector:
     """0/1 weights: zero where the sample deviates from the median by more
     than three normalized MADs.
@@ -219,10 +228,8 @@ def robust_weights(series: RttSeries) -> WeightVector:
     Falls back to uniform weights (with a warning) when the MAD collapses to
     zero while deviations remain, e.g. a majority of identical samples.
     """
-    mask, degenerate, _ = _outlier_mask(series.values[None])
-    if degenerate[0]:
-        warnings.warn("zero MAD with nonzero deviations; using uniform weights")
-        return WeightVector.uniform(len(series))
+    mask, zero, _ = _outlier_mask(series.values[None])
+    _warn_uniform(zero)
     return WeightVector(np.where(mask[0], 0.0, 1.0))
 
 
@@ -243,11 +250,9 @@ def unwrap(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.size == 0:
         raise ValueError("empty input")
-    d = np.diff(z)
-    d_wrapped = math.pi - np.mod(math.pi - d, TWO_PI)
     out = np.empty_like(z)
     out[..., 0] = z[..., 0]
-    out[..., 1:] = z[..., :1] + np.cumsum(d_wrapped, axis=-1)
+    out[..., 1:] = z[..., :1] + np.cumsum(wrap_to_pm_pi(np.diff(z)), axis=-1)
     return out
 
 
@@ -570,3 +575,47 @@ def wls_estimate(
         f_grid_step=f_step,
         phi_grid_step=float(phi_width),
     )
+
+
+def _estimate_stack(names, t, Y, T_m, delta0, grids, refine, preprocess):
+    """{name: (B, 3) rows of (f_d, phi, rho)} of the estimators `names` on the
+    records Y (B, N) sampled at t, to the bit as the one-record estimators
+    give them under the outlier protocol: ULS and PCP fit the records
+    preprocess_outliers gives if `preprocess`, else the raw ones, and WLS
+    fits the raw records under robust_weights' 0/1 weights, one _wls_rows
+    call per count of kept samples. The stack is screened once, when first
+    needed, and its zero-MAD records fall back under one warning. A
+    ValueError or LinAlgError, such as a record too short to screen or for
+    the estimator, rejects every record of the stack alike, so all of that
+    estimator's rows come out NaN."""
+    @functools.cache
+    def screen():  # raises below 3 samples
+        return _outlier_mask(Y)
+
+    @functools.cache
+    def replaced():
+        mask, _, med = screen()
+        return _replace_outliers(Y, mask, med)
+
+    out = {}
+    for name in names:
+        rows = out[name] = np.full((Y.shape[0], 3), math.nan)
+        try:
+            if name == "WLS":
+                mask, zero, _ = screen()
+                _warn_uniform(zero)
+                w = np.where(mask, 0.0, 1.0)
+                n_used = Y.shape[1] - np.count_nonzero(mask, axis=1)
+                for n in np.unique(n_used):
+                    group = np.flatnonzero(n_used == n)
+                    f, phi, rho, _, _ = _wls_rows(
+                        t, Y[group] - delta0, w[group], grids, refine, T_m)
+                    rows[group] = np.stack([f, phi, rho], axis=1)
+            else:
+                data = replaced() if preprocess else Y
+                fit = (_uls_rows(t, data, T_m, delta0) if name == "ULS"
+                       else _pcp_rows(t, data, T_m, delta0, grids, refine)[:3])
+                rows[:] = np.stack(fit, axis=1)
+        except (ValueError, np.linalg.LinAlgError):
+            rows[:] = math.nan
+    return out

@@ -76,10 +76,9 @@ class LinkTruth:
 
     rho: float
     delta0: float
-    c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
-        _require_finite("link parameters", self.rho, self.delta0, self.c)
+        _require_finite("link parameters", self.rho, self.delta0)
         if self.rho < 0.0:
             raise ValueError("rho must be nonnegative")
         if not self.delta0 > 0.0:
@@ -88,7 +87,7 @@ class LinkTruth:
     @property
     def flight_time(self) -> float:
         """Two-way propagation time 2*rho/c, seconds."""
-        return 2.0 * self.rho / self.c
+        return 2.0 * self.rho / SPEED_OF_LIGHT
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,68 +150,12 @@ def _child(trial_seed, i: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(trial_seed, spawn_key=(i,))
 
 
-def _screen(cfg: ExperimentConfig, Y):
-    """Outlier screen of the stack Y (B, N), shared by the estimators:
-    (outlier mask, per-row flag of a zero MAD with nonzero deviations, the
-    records ULS and PCP see), or None when no estimator needs it or the
-    records are too short to screen."""
-    if "WLS" not in cfg.estimators and not cfg.preprocess:
-        return None
-    try:
-        mask, zero, med = estimators._outlier_mask(Y)
-    except ValueError:
-        return None
-    data = Y
-    if cfg.preprocess and {"ULS", "PCP"} & set(cfg.estimators):
-        data = estimators._replace_outliers(Y, mask, med)
-    return mask, zero, data
-
-
-def _estimate_stack(cfg: ExperimentConfig, name: str, t, Y, screen, grids: SearchGrids):
-    """(B, 3) rows of (f_d, phi, rho) of one estimator over the records Y
-    (B, N) sampled at t, with their _screen, all through the estimator's row
-    kernels: WLS gives a zero-MAD record uniform weights, as robust_weights
-    does, under one warning per stack, and PCP fits a constant record in
-    closed form. A ValueError or LinAlgError, such as a record too short to
-    screen or for the estimator, rejects every record of the stack alike,
-    so all rows come out NaN."""
-    T_m, delta0 = cfg.clock.T_m, cfg.link.delta0
-    out = np.full((Y.shape[0], 3), math.nan)
-    try:
-        if screen is None:
-            if name == "WLS" or cfg.preprocess:
-                raise ValueError("too short to screen")
-            data = Y
-        else:
-            mask, zero, data = screen
-        if name == "WLS":
-            if zero.any():
-                warnings.warn(f"zero MAD with nonzero deviations in {np.count_nonzero(zero)} of "
-                              f"{zero.size} records; using uniform weights for them")
-            w = np.where(mask, 0.0, 1.0)
-            n_used = Y.shape[1] - np.count_nonzero(mask, axis=1)
-            for n in np.unique(n_used):
-                rows = np.flatnonzero(n_used == n)
-                f, phi, rho, _, _ = estimators._wls_rows(
-                    t, Y[rows] - delta0, w[rows], grids, cfg.refine, T_m)
-                out[rows] = np.stack([f, phi, rho], axis=1)
-        elif name == "ULS":
-            out[:] = np.stack(estimators._uls_rows(t, data, T_m, delta0), axis=1)
-        else:
-            out[:] = np.stack(
-                estimators._pcp_rows(t, data, T_m, delta0, grids, cfg.refine)[:3], axis=1)
-    except (ValueError, np.linalg.LinAlgError):
-        out[:] = math.nan
-    return out
-
-
 def _run_stack(cfg: ExperimentConfig, schedule: SampleSchedule, grids: SearchGrids,
                points: list, trial_seeds: list) -> dict:
     """Trials that share one schedule, as one (B, N) stack: trial b runs at
     sweep point points[b] with seed trial_seeds[b]. Returns, per estimator,
     the (B, 3) signed errors (f_d in Hz, phase in radians, range in m), NaN
     where the estimator rejected the record."""
-    B, N = len(points), schedule.N
     t = schedule.times()
     f_d = np.array([clock.f_d for clock, _, _, _ in points])
     phi = np.array([np.random.default_rng(_child(seed, 0)).uniform(0.0, TWO_PI)
@@ -223,20 +166,15 @@ def _run_stack(cfg: ExperimentConfig, schedule: SampleSchedule, grids: SearchGri
                        [_child(seed, 1) for seed in trial_seeds])
     for b, ((_, _, _, outliers), seed) in enumerate(zip(points, trial_seeds)):
         if outliers is not None and outliers.fraction > 0.0:
-            idx, drawn = _outlier_draws(N, outliers, _child(seed, 2))
+            idx, drawn = _outlier_draws(schedule.N, outliers, _child(seed, 2))
             Y[b, idx] = drawn
 
-    screen = _screen(cfg, Y)
-    errors = {}
-    for name in cfg.estimators:
-        est = _estimate_stack(cfg, name, t, Y, screen, grids)
-        ok = ~np.isnan(est[:, 0])
-        err = np.full((B, 3), math.nan)
-        err[ok, 0] = est[ok, 0] - f_d[ok]
-        err[ok, 1] = wrap_to_pm_pi(phi[ok] - est[ok, 1])
-        err[ok, 2] = est[ok, 2] - link.rho
-        errors[name] = err
-    return errors
+    estimates = estimators._estimate_stack(cfg.estimators, t, Y, cfg.clock.T_m, link.delta0,
+                                           grids, cfg.refine, cfg.preprocess)
+    # a rejected record's NaN passes through each difference and the wrap
+    return {name: np.stack([est[:, 0] - f_d, wrap_to_pm_pi(phi - est[:, 1]),
+                            est[:, 2] - link.rho], axis=1)
+            for name, est in estimates.items()}
 
 
 def _quartiles(s: np.ndarray) -> np.ndarray:
@@ -306,13 +244,13 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     [0, 2pi).
 
     The trials of all sweep points that share a schedule (every point, off
-    the N axis) run as (B, N) stacks through each stage: generation with each
-    trial's own draws, outlier weights, the FFT, the refinement and the
-    phase search. Every row takes the same kernels, so the report is the
-    same, to the bit, as running each trial alone through generate_series
-    and the public one-record estimators. A record an estimator rejects
-    (ValueError or LinAlgError) counts as a failed trial of it; any other
-    error propagates.
+    the N axis) run as (B, N) stacks: generation with each trial's own
+    draws, then estimators._estimate_stack, which screens the stack once and
+    runs the estimators' row kernels on it. Every row takes the same
+    kernels, so the report is the same, to the bit, as running each trial
+    alone through generate_series and the public one-record estimators. A
+    record an estimator rejects (ValueError or LinAlgError) counts as a
+    failed trial of it; any other error propagates.
 
     The report of those points is one stacked summary (_report_rows): the
     (point, estimator) rows that kept the same number of trials share one

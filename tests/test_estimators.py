@@ -110,7 +110,7 @@ class TestOutlierHandling:
     def test_degenerate_mad_warns_and_falls_back(self):
         y = np.full(10, 5e-6)
         y[0] = 9e-6
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="zero MAD with nonzero deviations in 1 of 1 records"):
             w = robust_weights(RttSeries(np.arange(10.0), y))
         assert w.n_used == 10
 

@@ -361,6 +361,8 @@ STACKING_CASES = {
     "pcp_fails": dict(M=5, schedule=SampleSchedule(0.0, 1e-3, 3)),
     # 2 samples are too few to screen: WLS and preprocessed ULS fail too
     "too_short": dict(M=3, sweep_axis="N", sweep_values=(2.0, 3.0)),
+    # without pre-processing ULS fits the raw 2-sample records all the same
+    "too_short_raw": dict(M=3, preprocess=False, sweep_axis="N", sweep_values=(2.0, 3.0, 4.0)),
     # noiseless at f_d = 0: constant records (PCP's closed form), and with
     # outliers a zero MAD with deviations (WLS's uniform weights)
     "zero_mad": dict(M=4, clock=ClockTruth(1e8, 0.0, 0.0), noise=NoiseSpec(),
@@ -390,6 +392,8 @@ class TestStackedSweep:
             assert report.row(0.0, "WLS")["n_failed"] == 0
         if case == "too_short":
             assert [report.row(2.0, name)["n_failed"] for name in ALL] == [cfg.M] * 3
+        if case == "too_short_raw":
+            assert [report.row(2.0, name)["n_failed"] for name in ALL] == [0, cfg.M, cfg.M]
 
     def test_stacks_split_across_points(self, monkeypatch):
         # 50 samples per record, 3 records per stack: stacks straddle points
