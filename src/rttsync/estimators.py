@@ -318,29 +318,27 @@ def uls_estimate(series: RttSeries, T_m: float, delta0: float) -> Estimate:
 
 def _zoom_power(u, t, df, P):
     """|sum_i u_i exp(-2j pi k*df t_i)|^2, k = 0..K-1, for each row of u (B, N)
-    by direct summation on the exact stamps t (N,) or (B, N): the refinement
-    kernel. It fills the phasor table P, (K,) + t.shape, with
+    by direct summation on the exact stamps t (N,) that the rows share: the
+    refinement kernel. It fills the phasor table P (K, N) with
     P[k] = exp(-2j pi k*df t) = w^k by K-1 products from one exp row; at
     _REFINE_POINTS rows the recurrence rounds near machine precision."""
     w = np.exp((-2j * math.pi * df) * t)
     P[0] = 1.0
     for k in range(1, len(P)):
         np.multiply(P[k - 1], w, out=P[k])
-    if t.ndim == 1:
-        return np.abs(u @ P.T) ** 2
-    return np.abs(np.matmul(P.transpose(1, 0, 2), u[:, :, None])[:, :, 0]) ** 2
+    return np.abs(u @ P.T) ** 2
 
 
 def _fft_periodogram(y, t, grids, positive=False):
     """Periodogram of each row of y (B, N) over grids.F (its positive half if
     `positive`) from one FFT of length L = n_fft per row, sample i placed at
-    m_i = rint((t_i - t_0)/Ts) mod L for stamps t (N,) or (B, N). Each grid
-    f is a bin k/(L*Ts), so the sum is exp(-2j pi f t_0) times bin k mod L:
-    exact on the Ts lattice however long the record; stamps off it are
-    rounded (the refinement sums over the exact ones), and samples that
-    round or fold into one bin add up there."""
+    m_i = rint((t_i - t_0)/Ts) mod L for the stamps t (N,) that the rows
+    share. Each grid f is a bin k/(L*Ts), so the sum is exp(-2j pi f t_0)
+    times bin k mod L: exact on the Ts lattice however long the record;
+    stamps off it are rounded (the refinement sums over the exact ones), and
+    samples that round or fold into one bin add up there."""
     B, L = y.shape[0], grids.n_fft
-    m = np.rint((t - t[..., :1]) / grids.Ts).astype(np.intp) % L
+    m = np.rint((t - t[0]) / grids.Ts).astype(np.intp) % L
     x = np.zeros((B, L), dtype=y.dtype)
     np.add.at(x.reshape(-1), (L * np.arange(B)[:, None] + m).reshape(-1), y.reshape(-1))
     n_half = grids.F.size // 2
@@ -354,9 +352,10 @@ def _peak_frequency(y, t, grids, refine, positive=False):
     and clipped to |f| <= f_max, and with refine=True two local searches of
     _REFINE_POINTS frequencies that each shrink the step tenfold around it,
     kept within 0 < f <= f_max (|f| <= f_max if not `positive`). Returns
-    (f (B,), final frequency step). Each row is demodulated once, to u at
-    its band's lowest frequency; a level takes one phasor table, shared by
-    rows that share stamps, and one row of it moves u to the next band."""
+    (f (B,), final frequency step). The rows share the stamps t (N,): a row
+    drops a sample by zeroing it. Each row is demodulated once, to u at its
+    band's lowest frequency; a level takes one phasor table for all rows,
+    and one row of it moves u to the next band."""
     F = grids.F[grids.F > 0.0] if positive else grids.F
     f = F[np.argmax(_fft_periodogram(y, t, grids, positive), axis=1)]
     # the grid edge n*df can round one ulp past f_max
@@ -364,7 +363,7 @@ def _peak_frequency(y, t, grids, refine, positive=False):
     if refine:
         rows = np.arange(y.shape[0])
         u = y * np.exp((-2j * math.pi) * (f - f_step)[:, None] * t)
-        P = np.empty((_REFINE_POINTS,) + t.shape, dtype=complex)
+        P = np.empty((_REFINE_POINTS, t.size), dtype=complex)
         for level in range(_REFINE_LEVELS):
             local = f[:, None] + np.linspace(-f_step, f_step, _REFINE_POINTS)
             f_step /= _REFINE_FACTOR
@@ -377,8 +376,8 @@ def _peak_frequency(y, t, grids, refine, positive=False):
             f = local[rows, k]
             if level + 1 < _REFINE_LEVELS:
                 # the next band starts one step below local[k]: w^(k-1) = P[k - 1], or 1/w
-                shift = P[k - 1] if t.ndim == 1 else P[k - 1, rows]
-                shift[k == 0] = np.broadcast_to(P[1], u.shape)[k == 0].conj()
+                shift = P[k - 1]
+                shift[k == 0] = P[1].conj()
                 u *= shift
     return f, f_step
 
@@ -468,7 +467,7 @@ def _wrap_segments(F, t):
     raw = F[:, :, None] * t[..., None, :]
     raw = 1.0 - (raw - np.floor(raw))
     order = raw.argsort(axis=2)
-    c = np.sort(raw, axis=2)  # raw in that order: tied phases are equal
+    c = np.take_along_axis(raw, order, axis=2)
     width = np.empty_like(c)
     width[:, :, 0] = c[:, :, 0] - (c[:, :, -1] - 1.0)
     np.subtract(c[:, :, 1:], c[:, :, :-1], out=width[:, :, 1:])
@@ -516,19 +515,23 @@ def _wls_search(b, t, f, T_m):
 
 def _wls_rows(t, b, w, grids, refine, T_m):
     """WLS on rows of b = y - delta0 (B, N) sampled at t (N,), each with its
-    0/1 mask w (B, N); every row must keep the same number of samples.
-    Returns (f_d, phi, rho, phi segment width) per row and the final
-    frequency step."""
-    keep = w > 0.0  # dropped samples neither score nor bound a segment
-    if keep.all():
-        t_in, b_in = t, b  # the rows share their stamps
+    0/1 mask w (B, N). Returns (f_d, phi, rho, phi segment width) per row and
+    the final frequency step. A dropped sample is 0 in the frequency search,
+    where it adds nothing to any sum; the phase search, where it would bound
+    a segment, takes the inliers, in one call per count of kept samples."""
+    keep = w > 0.0
+    z = np.where(keep, np.exp((2j * math.pi / T_m) * b), 0.0)
+    f, f_step = _peak_frequency(z, t, grids, refine)
+    if keep.all():  # the rows share their stamps
+        phi, phi_width, _ = _wls_search(b, t, f, T_m)
     else:
-        inliers = (b.shape[0], -1)
-        t_in = np.broadcast_to(t, b.shape)[keep].reshape(inliers)
-        b_in = b[keep].reshape(inliers)
-    z = np.exp((2j * math.pi / T_m) * b_in)
-    f, f_step = _peak_frequency(z, t_in, grids, refine)
-    phi, phi_width, _ = _wls_search(b_in, t_in, f, T_m)
+        phi, phi_width = np.empty((2, b.shape[0]))
+        n_used = np.count_nonzero(keep, axis=1)
+        for n in np.unique(n_used):
+            g = np.flatnonzero(n_used == n)
+            kept = keep[g]
+            t_in = np.broadcast_to(t, kept.shape)[kept].reshape(g.size, n)
+            phi[g], phi_width[g], _ = _wls_search(b[g][kept].reshape(g.size, n), t_in, f[g], T_m)
 
     r = b - sawtooth_template(t, f[:, None], phi[:, None], T_m)
     rho = 0.5 * SPEED_OF_LIGHT * (np.vecdot(w, r) / w.sum(axis=1))
@@ -582,12 +585,12 @@ def _estimate_stack(names, t, Y, T_m, delta0, grids, refine, preprocess):
     records Y (B, N) sampled at t, to the bit as the one-record estimators
     give them under the outlier protocol: ULS and PCP fit the records
     preprocess_outliers gives if `preprocess`, else the raw ones, and WLS
-    fits the raw records under robust_weights' 0/1 weights, one _wls_rows
-    call per count of kept samples. The stack is screened once, when first
-    needed, and its zero-MAD records fall back under one warning. A
-    ValueError or LinAlgError, such as a record too short to screen or for
-    the estimator, rejects every record of the stack alike, so all of that
-    estimator's rows come out NaN."""
+    fits the raw records under robust_weights' 0/1 weights, all in one
+    _wls_rows call. The stack is screened once, when first needed, and its
+    zero-MAD records fall back under one warning. A ValueError or
+    LinAlgError, such as a record too short to screen or for the estimator,
+    rejects every record of the stack alike, so all of that estimator's
+    rows come out NaN."""
     @functools.cache
     def screen():  # raises below 3 samples
         return _outlier_mask(Y)
@@ -604,18 +607,12 @@ def _estimate_stack(names, t, Y, T_m, delta0, grids, refine, preprocess):
             if name == "WLS":
                 mask, zero, _ = screen()
                 _warn_uniform(zero)
-                w = np.where(mask, 0.0, 1.0)
-                n_used = Y.shape[1] - np.count_nonzero(mask, axis=1)
-                for n in np.unique(n_used):
-                    group = np.flatnonzero(n_used == n)
-                    f, phi, rho, _, _ = _wls_rows(
-                        t, Y[group] - delta0, w[group], grids, refine, T_m)
-                    rows[group] = np.stack([f, phi, rho], axis=1)
+                fit = _wls_rows(t, Y - delta0, np.where(mask, 0.0, 1.0), grids, refine, T_m)
             else:
                 data = replaced() if preprocess else Y
                 fit = (_uls_rows(t, data, T_m, delta0) if name == "ULS"
-                       else _pcp_rows(t, data, T_m, delta0, grids, refine)[:3])
-                rows[:] = np.stack(fit, axis=1)
+                       else _pcp_rows(t, data, T_m, delta0, grids, refine))
+            rows[:] = np.stack(fit[:3], axis=1)
         except (ValueError, np.linalg.LinAlgError):
             rows[:] = math.nan
     return out

@@ -233,7 +233,7 @@ def _report_rows(cfg: ExperimentConfig, values: list, errors: dict) -> list:
 
 
 # Trials per stack are capped at this many samples in all, which bounds the
-# (21, B, n) phasor table of WLS rows on their own stamps at about 11 MB.
+# (B, 4N) complex FFT input and output of a stack's frequency search at 2 MB each.
 _STACK_SAMPLES = 1 << 15
 
 

@@ -469,15 +469,14 @@ class TestFftPeriodogram:
 
 
 def direct_picks(x, t, grids, positive, levels):
-    """Per row of x (B, n) on stamps t (n,) or (B, n): the coarse FFT peak,
-    then `levels` refinement levels, each picking the argmax of the direct
-    sum over the same _REFINE_POINTS local frequencies as _peak_frequency."""
+    """Per row of x (B, n) on stamps t (n,): the coarse FFT peak, then
+    `levels` refinement levels, each picking the argmax of the direct sum
+    over the same _REFINE_POINTS local frequencies as _peak_frequency."""
     f, step = _peak_frequency(x, t, grids, refine=False, positive=positive)
-    t = np.broadcast_to(t, x.shape)
     for _ in range(levels):
         local = f[:, None] + np.linspace(-step, step, estimators._REFINE_POINTS)
         step /= estimators._REFINE_FACTOR
-        power = np.stack([direct_periodogram(x[b], t[b], local[b]) for b in range(len(x))])
+        power = np.stack([direct_periodogram(x[b], t, local[b]) for b in range(len(x))])
         power[(np.abs(local) > grids.f_max) | (positive & (local <= 0.0))] = -math.inf
         f = local[np.arange(len(x)), np.argmax(power, axis=1)]
     return f
@@ -485,10 +484,10 @@ def direct_picks(x, t, grids, positive, levels):
 
 def refinement_stack(seed, kind):
     """(stamps, WLS z, PCP y0, grid) of a stack. "shared" and "masked": six
-    20-dB records of 200 samples, on shared consecutive stamps, or on
-    per-row stamps where rows 0-2 are consecutive (unmasked) and rows 3-5
-    keep 200 of 230 (masked). "jittered": 16 noise-only rows of 64 samples
-    on stamps jittered by up to 0.49 Ts, which the FFT rounds, so that some
+    20-dB records of 200 samples on shared consecutive stamps, or of 230
+    where rows 0-2 keep every sample and rows 3-5 keep 200 and are zero
+    elsewhere (masked). "jittered": 16 noise-only rows of 64 samples on
+    stamps jittered by up to 0.49 Ts, which the FFT rounds, so that some
     first-level picks fall on the band's lowest frequency."""
     rng = np.random.default_rng(seed)
     if kind == "jittered":
@@ -497,17 +496,18 @@ def refinement_stack(seed, kind):
         y = rng.standard_normal((16, 64))
         return t, z, y - y.mean(axis=1, keepdims=True), SearchGrids.for_schedule(64, 1e-3)
     noise = NoiseSpec.from_snr(20.0, 20.0, T_M)
-    ts, y = [], []
+    n = 230 if kind == "masked" else 200
+    schedule = SampleSchedule(0.37, 1e-3, n)
+    y, keep = np.empty((6, n)), np.ones((6, n), dtype=bool)
     for b in range(6):
         clock = ClockTruth(1e8, float(rng.uniform(-450.0, 450.0)), float(rng.uniform(0.0, TWO_PI)))
-        n = 230 if kind == "masked" and b >= 3 else 200
-        series = generate_series(SampleSchedule(0.37, 1e-3, n), clock, LINK, noise, seed=rng)
-        keep = np.sort(rng.permutation(n)[:200])
-        ts.append(series.times[keep])
-        y.append(series.values[keep])
-    t, y = (ts[0] if kind == "shared" else np.stack(ts)), np.stack(y)
-    z = np.exp((2j * math.pi / T_M) * (y - LINK.delta0))
-    return t, z, y - y.mean(axis=1, keepdims=True), SearchGrids.for_schedule(200, 1e-3)
+        y[b] = generate_series(schedule, clock, LINK, noise, seed=rng).values
+        dropped = rng.permutation(n)[200:]  # none when n = 200
+        if b >= 3:
+            keep[b, dropped] = False
+    z = np.where(keep, np.exp((2j * math.pi / T_M) * (y - LINK.delta0)), 0.0)
+    y0 = np.where(keep, y - np.mean(y, axis=1, where=keep, keepdims=True), 0.0)
+    return schedule.times(), z, y0, SearchGrids.for_schedule(200, 1e-3)
 
 
 class TestRefinement:
@@ -890,10 +890,11 @@ class TestMetamorphic:
             assert abs(phase_error(b.phi_hat, expected)) < 1e-9
 
     @metamorphic
-    @given(records_40db, st.integers(0, 2**32 - 1))
-    def test_zero_weight_equals_deletion(self, series, seed):
+    @given(records_40db, st.integers(0, 2**32 - 1), st.booleans())
+    def test_zero_weight_equals_deletion(self, series, seed, drop_first):
+        # dropping sample 0 moves the deleted record's FFT lattice origin
         keep = np.random.default_rng(seed).random(len(series)) >= 0.2
-        keep[0] = True
+        keep[0] = not drop_first
         g = SearchGrids.for_schedule(len(series), 1e-3)
         masked = wls_estimate(series, T_M, LINK.delta0, g, WeightVector(keep.astype(float)))
         kept = RttSeries(series.times[keep], series.values[keep])
