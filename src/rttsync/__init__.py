@@ -16,7 +16,6 @@ from .edge_sim import (
     ExchangeConfig,
     Oscillator,
     equivalent_clock_truth,
-    next_edge,
     simulate_campaign,
 )
 from .estimators import (

@@ -70,7 +70,7 @@ class ExchangeConfig:
             raise ValueError("rho must be nonnegative")
 
 
-def next_edge(osc: Oscillator, t):
+def _next_edge(osc: Oscillator, t):
     """Smallest edge time >= t. Accepts scalars or arrays."""
     f = osc.frequency
     k = np.ceil((np.asarray(t, dtype=float) - osc.varphi) * f)
@@ -85,9 +85,9 @@ def simulate_campaign(
 ) -> RttSeries:
     """One exchange per scheduled epoch; times are the actual PING emissions."""
     flight = cfg.rho / SPEED_OF_LIGHT
-    t_tx = next_edge(master, schedule.times())  # PING snaps to a master edge
+    t_tx = _next_edge(master, schedule.times())  # PING snaps to a master edge
     t_arrival = t_tx + flight
-    t_count_start = next_edge(slave, t_arrival)
+    t_count_start = _next_edge(slave, t_arrival)
     t_rx = t_count_start + cfg.K * slave.period + flight
     rtt = t_rx - t_tx
     if cfg.tdc_resolution is not None:

@@ -2,8 +2,9 @@
 
 Each test prints a single summary line (visible with -s or on failure); the
 test name doubles as the pass/fail line under pytest -v. Criterion 5 is
-expected to fail and is marked accordingly; the analysis lives in the
-decisions ledger.
+expected to fail, on its PCP condition, and is marked accordingly; its WLS
+and ULS conditions have a passing test of their own. The analysis lives in
+the decisions ledger.
 """
 
 import dataclasses
@@ -192,6 +193,34 @@ def test_criterion_5_fd_sensitivity():
         f"/{mag('ULS', 32.0):.2f}, PCP 200 vs 32: {mag('PCP', 200.0):.3f}"
         f"/{mag('PCP', 32.0):.3f}",
     ), [f"{v:.3g}" for v in wls]
+
+
+def test_criterion_5_wls_and_uls_conditions():
+    # the two conditions of criterion 5 that the program meets, on its
+    # config, so that the xfail above, which fails on PCP, cannot hide a
+    # regression in them; ULS and WLS draw the same trials without PCP
+    values = (-200.0, -100.0, -32.0, 32.0, 100.0, 200.0)
+    cfg = ExperimentConfig(
+        clock=ClockTruth(1e8, -32.0, 0.0),
+        link=LINK,
+        schedule=SampleSchedule(0.0, 1e-3, 200),
+        noise=NoiseSpec.from_snr(20.0, 20.0, T_M),
+        M=150,
+        seed=3,
+        estimators=("ULS", "WLS"),
+        sweep_axis="f_d",
+        sweep_values=values,
+    )
+    rep = run_sweep(cfg)
+    wls = [rep.rmse(v, "WLS", "fd_hz") for v in values]
+    ratio = max(wls) / min(wls)
+    uls = {m: 0.5 * (rep.rmse(-m, "ULS", "fd_hz") + rep.rmse(m, "ULS", "fd_hz"))
+           for m in (32.0, 200.0)}
+    ok = ratio < 3.0 and uls[200.0] > uls[32.0]
+    assert report(
+        "5 (WLS, ULS)", ok,
+        f"WLS max/min {ratio:.3f} (<3), ULS 200 vs 32: {uls[200.0]:.2f}/{uls[32.0]:.2f}",
+    ), (wls, uls)
 
 
 def test_criterion_6_noiseless_exactness():

@@ -9,7 +9,7 @@ from rttsync import montecarlo
 PUBLIC_NAMES = {
     "SPEED_OF_LIGHT", "ClockTruth", "LinkTruth", "NoiseSpec", "RttSeries", "SampleSchedule",
     "generate_series", "sawtooth_template", "snr_to_sigma",
-    "ExchangeConfig", "Oscillator", "equivalent_clock_truth", "next_edge", "simulate_campaign",
+    "ExchangeConfig", "Oscillator", "equivalent_clock_truth", "simulate_campaign",
     "Estimate", "SearchGrids", "WeightVector", "pcp_estimate", "phase_error",
     "phase_error_seconds", "preprocess_outliers", "residuals", "robust_weights", "uls_estimate",
     "unwrap", "wls_cost", "wls_estimate",

@@ -7,8 +7,8 @@ from rttsync.edge_sim import (
     ExchangeConfig,
     Oscillator,
     equivalent_clock_truth,
-    next_edge,
     simulate_campaign,
+    _next_edge,
 )
 from rttsync.model import SPEED_OF_LIGHT, LinkTruth, NoiseSpec, SampleSchedule, _generate_rows
 
@@ -41,19 +41,19 @@ class TestNextEdge:
     def test_on_edge_returns_that_edge(self):
         # ceil convention: a query exactly on an edge maps to itself
         osc = Oscillator(f0=1e8, varphi=0.0)
-        assert next_edge(osc, 3e-8) == pytest.approx(3e-8, rel=1e-12)
+        assert _next_edge(osc, 3e-8) == pytest.approx(3e-8, rel=1e-12)
 
     def test_between_edges(self):
         osc = Oscillator(f0=1e8, varphi=0.0)
-        assert next_edge(osc, 3.2e-8) == pytest.approx(4e-8, rel=1e-12)
+        assert _next_edge(osc, 3.2e-8) == pytest.approx(4e-8, rel=1e-12)
 
     def test_phase_offset(self):
         osc = Oscillator(f0=1e8, varphi=0.3e-8)
-        assert next_edge(osc, 0.0) == pytest.approx(0.3e-8, rel=1e-9)
+        assert _next_edge(osc, 0.0) == pytest.approx(0.3e-8, rel=1e-9)
 
     def test_vectorized(self):
         osc = Oscillator(f0=1e8, varphi=0.0)
-        out = next_edge(osc, np.array([0.0, 1.5e-8, 2.9e-8]))
+        out = _next_edge(osc, np.array([0.0, 1.5e-8, 2.9e-8]))
         np.testing.assert_allclose(out, [0.0, 2e-8, 3e-8], rtol=1e-12)
 
 
