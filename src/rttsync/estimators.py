@@ -276,22 +276,20 @@ def residuals(
 
 
 def _uls_rows(t, y, T_m, delta0):
-    """(f_d, phi, rho) of ULS for each row of y (B, N) sampled at t. The line
-    fits carry np.polyfit's bits: its scaled design matrix is built once, and
-    lstsq runs per row, as a stacked right-hand side rounds differently."""
+    """(f_d, phi, rho) of ULS for each row of y (B, N) sampled at t. The
+    least-squares line through each row's unwrapped phase u comes in closed
+    form about the means: slope = sum (u - u_bar)(t - t_bar) / sum (t - t_bar)^2,
+    exact up to rounding, each row reduced on its own, as in a one-record call."""
     if y.shape[1] < 2:
         raise ValueError("need at least 2 samples")
     y_bar = np.mean(y, axis=1, keepdims=True)
     rho = 0.5 * SPEED_OF_LIGHT * (y_bar[:, 0] - 0.5 * T_m - delta0)
     u = unwrap((TWO_PI / T_m) * (y - y_bar))
-    lhs = np.vander(t, 2)
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    rcond = t.size * np.finfo(lhs.dtype).eps
-    fits = [np.linalg.lstsq(lhs, row, rcond) for row in u]
-    if fits[0][2] < 2:
-        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning)
-    slope, intercept = (np.array([c for c, *_ in fits]) / scale).T
+    t_bar = np.mean(t)
+    dt = t - t_bar
+    u_bar = np.mean(u, axis=1)
+    slope = np.vecdot(u - u_bar[:, None], dt) / np.vecdot(dt, dt)
+    intercept = u_bar - slope * t_bar
     # centering by y_bar removed the sawtooth mean (~pi); add it back
     return slope / TWO_PI, wrap_to_2pi(intercept + math.pi), rho
 
@@ -587,10 +585,9 @@ def _estimate_stack(names, t, Y, T_m, delta0, grids, refine, preprocess):
     preprocess_outliers gives if `preprocess`, else the raw ones, and WLS
     fits the raw records under robust_weights' 0/1 weights, all in one
     _wls_rows call. The stack is screened once, when first needed, and its
-    zero-MAD records fall back under one warning. A ValueError or
-    LinAlgError, such as a record too short to screen or for the estimator,
-    rejects every record of the stack alike, so all of that estimator's
-    rows come out NaN."""
+    zero-MAD records fall back under one warning. A ValueError, such as a
+    record too short to screen or for the estimator, rejects every record of
+    the stack alike, so all of that estimator's rows come out NaN."""
     @functools.cache
     def screen():  # raises below 3 samples
         return _outlier_mask(Y)
@@ -613,6 +610,6 @@ def _estimate_stack(names, t, Y, T_m, delta0, grids, refine, preprocess):
                 fit = (_uls_rows(t, data, T_m, delta0) if name == "ULS"
                        else _pcp_rows(t, data, T_m, delta0, grids, refine))
             rows[:] = np.stack(fit[:3], axis=1)
-        except (ValueError, np.linalg.LinAlgError):
+        except ValueError:
             rows[:] = math.nan
     return out

@@ -249,8 +249,8 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     runs the estimators' row kernels on it. Every row takes the same
     kernels, so the report is the same, to the bit, as running each trial
     alone through generate_series and the public one-record estimators. A
-    record an estimator rejects (ValueError or LinAlgError) counts as a
-    failed trial of it; any other error propagates.
+    record an estimator rejects (ValueError) counts as a failed trial of
+    it; any other error propagates.
 
     The report of those points is one stacked summary (_report_rows): the
     (point, estimator) rows that kept the same number of trials share one

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -530,7 +531,9 @@ class TestRefinement:
 
 class TestUls:
     @pytest.mark.parametrize("B", [1, 6, 163])
-    def test_rows_match_polyfit_bits(self, B):
+    def test_rows_match_exact_least_squares_line(self, B):
+        # the least-squares line through the same float t and u, in rational
+        # arithmetic: floats are dyadic, so its sums carry no rounding
         rng = np.random.default_rng(880 + B)
         t = 0.37 + 1e-3 * np.arange(200)
         noise = NoiseSpec.from_snr(20.0, 20.0, T_M)
@@ -540,14 +543,15 @@ class TestUls:
             LINK, noise, seed=rng).values for _ in range(B)])
         f_d, phi, _ = _uls_rows(t, Y, T_M, LINK.delta0)
         u = unwrap((TWO_PI / T_M) * (Y - Y.mean(axis=1, keepdims=True)))
-        slope, intercept = np.array([np.polyfit(t, row, 1) for row in u]).T
-        np.testing.assert_array_equal(f_d, slope / TWO_PI)
-        np.testing.assert_array_equal(phi, wrap_to_2pi(intercept + math.pi))
-
-    def test_rank_deficient_stamps_warn_as_polyfit(self):
-        Y = np.array([[1e-9, 2e-9, 3e-9]])
-        with pytest.warns(np.exceptions.RankWarning):
-            _uls_rows(np.full(3, 0.5), Y, T_M, LINK.delta0)
+        ts = [Fraction(x) for x in t.tolist()]
+        n, s_t, s_tt = len(ts), sum(ts), sum(x * x for x in ts)
+        for b, row in enumerate(u.tolist()):
+            us = [Fraction(x) for x in row]
+            s_u, s_tu = sum(us), sum(x * y for x, y in zip(ts, us))
+            slope = (n * s_tu - s_t * s_u) / (n * s_tt - s_t * s_t)
+            intercept = (s_u - slope * s_t) / n
+            assert f_d[b] == pytest.approx(float(slope) / TWO_PI, rel=1e-12)
+            assert abs(wrap_to_pm_pi(phi[b] - float(intercept) - math.pi)) < 1e-9
 
     def test_noiseless_recovery(self):
         # 33 cycles over 1000 samples: wrap positions fill a dense lattice

@@ -175,14 +175,14 @@ class TestRunSweep:
             sweep_values=(20.0, 40.0),
         )
         digest = hashlib.sha256(report_to_csv(run_sweep(cfg)).encode()).hexdigest()
-        assert digest == "8f7351e89ae9ab038ab0cdfc729e2410bbe6e834030977f50bf0b283ff1805b3"
+        assert digest == "552a01a77def2081c69280dd7a86c2b5901f67ae203d06509416d9f027351490"
 
     # the shapes of the bench's sweeps: criterion 5 at M=1 (every percentile
     # of one trial) and criterion 3 at M=5, WLS only
     @pytest.mark.parametrize("shape, digest", [
         (dict(schedule=SampleSchedule(0.0, 1e-3, 200), noise=NoiseSpec.from_snr(20.0, 20.0, T_M),
               M=1, sweep_axis="f_d", sweep_values=(-200.0, -100.0, -32.0, 32.0, 100.0, 200.0)),
-         "bf701c903f13e50741ac8f459f0871f56c8f918d18b2217dc66a6a0e304644e2"),
+         "e0197186ad04fec0ba124c65d95ef5c616c3dc6394459072f6bdf70c3d072e53"),
         (dict(schedule=SampleSchedule(0.0, 1e-3, 100), noise=NoiseSpec.from_snr(40.0, 40.0, T_M),
               M=5, estimators=("WLS",)),
          "c33b3a1b0a7cce670ec107a38577b0062cbeb5e88486b9302557e27aed87fa58"),
