@@ -317,14 +317,16 @@ def uls_estimate(series: RttSeries, T_m: float, delta0: float) -> Estimate:
 def _zoom_power(u, t, df, P):
     """|sum_i u_i exp(-2j pi k*df t_i)|^2, k = 0..K-1, for each row of u (B, N)
     by direct summation on the exact stamps t (N,) that the rows share: the
-    refinement kernel. It fills the phasor table P (K, N) with
-    P[k] = exp(-2j pi k*df t) = w^k by K-1 products from one exp row; at
-    _REFINE_POINTS rows the recurrence rounds near machine precision."""
+    refinement kernel. It fills the phasor table P (K + 1, N) with P[0] = 1/w
+    and P[k] = w^(k-1), w = exp(-2j pi df t), by K-1 products from one exp
+    row, rounding near machine precision at _REFINE_POINTS rows, and sums
+    over P[1:]: u * P[k] is u one step of df below sum k."""
     w = np.exp((-2j * math.pi * df) * t)
-    P[0] = 1.0
-    for k in range(1, len(P)):
+    np.conjugate(w, out=P[0])
+    P[1] = 1.0
+    for k in range(2, len(P)):
         np.multiply(P[k - 1], w, out=P[k])
-    return np.abs(u @ P.T) ** 2
+    return np.abs(u @ P[1:].T) ** 2
 
 
 def _fft_periodogram(y, t, grids, positive=False):
@@ -352,8 +354,8 @@ def _peak_frequency(y, t, grids, refine, positive=False):
     kept within 0 < f <= f_max (|f| <= f_max if not `positive`). Returns
     (f (B,), final frequency step). The rows share the stamps t (N,): a row
     drops a sample by zeroing it. Each row is demodulated once, to u at its
-    band's lowest frequency; a level takes one phasor table for all rows,
-    and one row of it moves u to the next band."""
+    band's lowest frequency; a level takes one phasor table P for all rows,
+    and u *= P[k] moves each row to the next band, a step below its pick k."""
     F = grids.F[grids.F > 0.0] if positive else grids.F
     f = F[np.argmax(_fft_periodogram(y, t, grids, positive), axis=1)]
     # the grid edge n*df can round one ulp past f_max
@@ -361,8 +363,8 @@ def _peak_frequency(y, t, grids, refine, positive=False):
     if refine:
         rows = np.arange(y.shape[0])
         u = y * np.exp((-2j * math.pi) * (f - f_step)[:, None] * t)
-        P = np.empty((_REFINE_POINTS, t.size), dtype=complex)
-        for level in range(_REFINE_LEVELS):
+        P = np.empty((_REFINE_POINTS + 1, t.size), dtype=complex)
+        for _ in range(_REFINE_LEVELS):
             local = f[:, None] + np.linspace(-f_step, f_step, _REFINE_POINTS)
             f_step /= _REFINE_FACTOR
             power = _zoom_power(u, t, f_step, P)
@@ -372,11 +374,7 @@ def _peak_frequency(y, t, grids, refine, positive=False):
             power[drop] = -math.inf
             k = np.argmax(power, axis=1)
             f = local[rows, k]
-            if level + 1 < _REFINE_LEVELS:
-                # the next band starts one step below local[k]: w^(k-1) = P[k - 1], or 1/w
-                shift = P[k - 1]
-                shift[k == 0] = P[1].conj()
-                u *= shift
+            u *= P[k]
     return f, f_step
 
 
@@ -511,13 +509,12 @@ def _wls_search(b, t, f, T_m):
     return phi, phi_width, c_min
 
 
-def _wls_rows(t, b, w, grids, refine, T_m):
+def _wls_rows(t, b, keep, grids, refine, T_m):
     """WLS on rows of b = y - delta0 (B, N) sampled at t (N,), each with its
-    0/1 mask w (B, N). Returns (f_d, phi, rho, phi segment width) per row and
-    the final frequency step. A dropped sample is 0 in the frequency search,
-    where it adds nothing to any sum; the phase search, where it would bound
-    a segment, takes the inliers, in one call per count of kept samples."""
-    keep = w > 0.0
+    boolean inlier mask keep (B, N). Returns (f_d, phi, rho, segment width)
+    per row and the final frequency step. A dropped sample is 0 in the
+    frequency search, where it adds nothing to any sum; the phase search,
+    where it would bound a segment, and the range take the inliers only."""
     z = np.where(keep, np.exp((2j * math.pi / T_m) * b), 0.0)
     f, f_step = _peak_frequency(z, t, grids, refine)
     if keep.all():  # the rows share their stamps
@@ -532,7 +529,7 @@ def _wls_rows(t, b, w, grids, refine, T_m):
             phi[g], phi_width[g], _ = _wls_search(b[g][kept].reshape(g.size, n), t_in, f[g], T_m)
 
     r = b - sawtooth_template(t, f[:, None], phi[:, None], T_m)
-    rho = 0.5 * SPEED_OF_LIGHT * (np.vecdot(w, r) / w.sum(axis=1))
+    rho = 0.5 * SPEED_OF_LIGHT * (np.vecdot(keep, r) / np.count_nonzero(keep, axis=1))
     return f, phi, rho, phi_width, f_step
 
 
@@ -545,7 +542,7 @@ def wls_estimate(
     refine: bool = True,
 ) -> Estimate:
     """0/1-weighted circular frequency, then exact least-squares phase and
-    range, over the inliers of the 0/1 mask w (default: every sample).
+    range, over the inliers, at least 2, of the 0/1 mask w (default: all).
 
     z_i = exp(2j pi (y_i - delta0)/T_m) is exp(j(2pi f_d t_i + theta)) times
     phase noise, so a sample that jitter carries across a wrap costs nothing.
@@ -562,11 +559,13 @@ def wls_estimate(
         w = WeightVector.uniform(len(series))
     if w.w.size != len(series):
         raise ValueError("weight length mismatch")
+    if w.n_used < 2:
+        raise ValueError("need at least 2 kept samples")
     t = series.times
     grids.check_sampling(t)
     b = series.values - delta0
     (f_hat,), (phi_hat,), (rho_hat,), (phi_width,), f_step = _wls_rows(
-        t, b[None], w.w[None], grids, refine, T_m)
+        t, b[None], w.w[None] > 0.0, grids, refine, T_m)
     return Estimate(
         f_d_hat=float(f_hat),
         phi_hat=float(phi_hat),
@@ -583,7 +582,7 @@ def _estimate_stack(names, t, Y, T_m, delta0, grids, refine, preprocess):
     records Y (B, N) sampled at t, to the bit as the one-record estimators
     give them under the outlier protocol: ULS and PCP fit the records
     preprocess_outliers gives if `preprocess`, else the raw ones, and WLS
-    fits the raw records under robust_weights' 0/1 weights, all in one
+    fits the raw records with the inliers of robust_weights, all in one
     _wls_rows call. The stack is screened once, when first needed, and its
     zero-MAD records fall back under one warning. A ValueError, such as a
     record too short to screen or for the estimator, rejects every record of
@@ -599,17 +598,16 @@ def _estimate_stack(names, t, Y, T_m, delta0, grids, refine, preprocess):
 
     out = {}
     for name in names:
-        rows = out[name] = np.full((Y.shape[0], 3), math.nan)
         try:
             if name == "WLS":
                 mask, zero, _ = screen()
                 _warn_uniform(zero)
-                fit = _wls_rows(t, Y - delta0, np.where(mask, 0.0, 1.0), grids, refine, T_m)
+                fit = _wls_rows(t, Y - delta0, ~mask, grids, refine, T_m)
             else:
                 data = replaced() if preprocess else Y
                 fit = (_uls_rows(t, data, T_m, delta0) if name == "ULS"
                        else _pcp_rows(t, data, T_m, delta0, grids, refine))
-            rows[:] = np.stack(fit[:3], axis=1)
+            out[name] = np.stack(fit[:3], axis=1)
         except ValueError:
-            rows[:] = math.nan
+            out[name] = np.full((Y.shape[0], 3), math.nan)
     return out

@@ -2,6 +2,9 @@ import ast
 import inspect
 import types
 
+import numpy as np
+import pytest
+
 import rttsync
 from rttsync import montecarlo
 
@@ -40,3 +43,26 @@ def test_montecarlo_reaches_estimators_only_through_estimate_stack():
         for alias in node.names if alias.name.startswith("_")
     }
     assert private == {"_estimate_stack"}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: rttsync.ClockTruth(f_m=-1e8, f_d=0.0), "f_m must be positive"),
+    (lambda: rttsync.LinkTruth(rho=-1.0, delta0=5e-6), "rho must be nonnegative"),
+    (lambda: rttsync.LinkTruth(rho=2.0, delta0=0.0), "delta0 must be positive"),
+    (lambda: rttsync.SampleSchedule(0.0, 0.0, 10), "Ts must be positive"),
+    (lambda: rttsync.NoiseSpec(sigma_v=-0.1), "must be nonnegative"),
+    (lambda: rttsync.RttSeries(np.zeros((2, 2)), np.zeros((2, 2))), "must be 1-D"),
+    (lambda: rttsync.RttSeries([0.0, 1.0], [5e-6]), "equal length"),
+    (lambda: rttsync.WeightVector(np.ones((2, 2))), "must be 1-D"),
+    (lambda: rttsync.Oscillator(f0=-1e8), "f0 must be positive"),
+    (lambda: rttsync.Oscillator(f0=1e8, alpha=0.0), "alpha must be positive"),
+    (lambda: rttsync.ExchangeConfig(K=500, rho=-1.0), "rho must be nonnegative"),
+    (lambda: rttsync.unwrap([]), "empty input"),
+    (lambda: rttsync.calibrate_range(np.ones((7, 3))), "range_m, rtt_s"),
+], ids=["clock-f-m", "link-rho", "link-delta0", "schedule-ts", "noise-sigma", "series-2d",
+        "series-lengths", "weights-2d", "oscillator-f0", "oscillator-alpha", "exchange-rho",
+        "unwrap-empty", "calibration-shape"])
+def test_public_types_reject_bad_values(build, message):
+    # bad input stops where it enters, with a ValueError that says why
+    with pytest.raises(ValueError, match=message):
+        build()

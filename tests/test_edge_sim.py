@@ -116,6 +116,11 @@ class TestCampaignVsModel:
         assert clock.f_d == pytest.approx(32.0, rel=1e-9)
         assert 0.0 <= clock.phi < 2.0 * math.pi
 
+    def test_phase_a_hair_below_a_full_turn_is_zero(self):
+        # frac(-1e-17) rounds up to 1.0, a full turn, which ClockTruth rejects
+        clock = equivalent_clock_truth(Oscillator(1e8, varphi=1e-25), Oscillator(1e8), 0.0)
+        assert clock.phi == 0.0
+
     def test_emission_snaps_to_master_edges(self):
         master, slave = make_pair(1e8 - 32.0, varphi_m=0.13e-8)
         schedule = SampleSchedule(0.0, 1e-3, 10)

@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import minimize_scalar
 
 from rttsync import estimators
 from rttsync.analysis import residual_acf
@@ -310,7 +309,7 @@ def zoom_power(x, t, f0, df, K):
     """Refinement-kernel power of one record x at f0 + k*df, k = 0..K-1:
     demodulated to f0 as _peak_frequency does, in a fresh phasor table."""
     u = x[None] * np.exp((-2j * math.pi * f0) * t)
-    return _zoom_power(u, t, df, np.empty((K, t.size), dtype=complex))[0]
+    return _zoom_power(u, t, df, np.empty((K + 1, t.size), dtype=complex))[0]
 
 
 def edge_record(N=200, f_d=-32.0):
@@ -691,7 +690,8 @@ class TestPcp:
 class TestWlsCost:
     def test_matches_scalar_minimization_oracle(self):
         # concentrated cost must equal the weighted cost minimized over the
-        # constant term by an independent 1-D optimizer
+        # constant term: the cost is a parabola in it, so the vertex through
+        # three costs around the minimum of a coarse grid is exact
         rng = np.random.default_rng(6)
         series, _, link = noiseless(-32.0, 2.0, N=60)
         series = series.with_values(series.values + 2e-10 * rng.standard_normal(60))
@@ -706,13 +706,14 @@ class TestWlsCost:
             )
             return float(np.sum(w.w * r * r))
 
+        rho_grid = np.linspace(-1e-6, 1e-6, 401)
+        h = rho_grid[1] - rho_grid[0]
         for f, phi in [(-32.0, 2.0), (-30.0, 1.0), (5.0, 4.0)]:
-            res = minimize_scalar(
-                full_cost, args=(f, phi), bounds=(-1e-6, 1e-6), method="bounded",
-                options={"xatol": 1e-18},
-            )
+            r0 = rho_grid[int(np.argmin([full_cost(r, f, phi) for r in rho_grid]))]
+            c_m1, c_0, c_p1 = (full_cost(r, f, phi) for r in (r0 - h, r0, r0 + h))
+            a, b = 0.5 * (c_p1 + c_m1) - c_0, 0.5 * (c_p1 - c_m1)
             assert wls_cost(f, phi, series, T_M, link.delta0, w) == pytest.approx(
-                res.fun, rel=1e-9, abs=1e-24
+                c_0 - b * b / (4.0 * a), rel=1e-9, abs=1e-24
             )
 
     def test_nonnegative(self):
@@ -843,6 +844,21 @@ class TestWlsEstimate:
         g = SearchGrids.for_schedule(N=100, Ts=1e-3)
         with pytest.raises(ValueError):
             wls_estimate(series, T_M, link.delta0, g, w=WeightVector.uniform(99))
+
+    def test_refuses_fewer_than_2_kept_samples(self):
+        # one sample fixes no frequency: a 1-sample record gave f_d = -f_max,
+        # and one kept sample of 100 a nonsense f_d and range and a 2pi phase step
+        single = RttSeries(np.array([0.0]), np.array([LINK.delta0 + 3e-9]))
+        with pytest.raises(ValueError, match="at least 2 kept samples"):
+            wls_estimate(single, T_M, LINK.delta0, SearchGrids.for_schedule(N=1, Ts=1e-3))
+        series = record_40db(3, 100, -32.0, 2.0)
+        g = SearchGrids.for_schedule(N=100, Ts=1e-3)
+        w = np.zeros(100)
+        w[40] = 1.0
+        with pytest.raises(ValueError, match="at least 2 kept samples"):
+            wls_estimate(series, T_M, LINK.delta0, g, WeightVector(w))
+        w[41] = 1.0
+        assert wls_estimate(series, T_M, LINK.delta0, g, WeightVector(w)).weights.n_used == 2
 
 
 def record_40db(seed, N, f_d, phi):

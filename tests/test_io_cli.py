@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from rttsync import estimators
 from rttsync.analysis import calibrate_range, residual_acf
 from rttsync.cli import _build_parser, cli_main
 from rttsync.estimators import SearchGrids, robust_weights, uls_estimate, wls_estimate
@@ -575,6 +576,54 @@ class TestCli:
         assert rc == 2
         assert "rttsync: error:" in capsys.readouterr().err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate", "{one-row}", "--method", "uls"], "need at least 2 samples"),
+        (["simulate", "--snr-c-db", "30"], "--snr-c-db and --snr-j-db must be given together"),
+        (["sweep", "--config", "{missing}"], "cannot read config"),
+        (["residuals", "{constant}", "--f-d", "0", "--phi", "0", "--rho", "0"],
+         "residuals are identically zero"),
+    ], ids=["uls-one-row", "snr-c-alone", "missing-config", "zero-residuals"])
+    def test_rejects_input_at_the_boundary(self, tmp_path, capsys, argv, message):
+        files = {"{one-row}": tmp_path / "one.csv", "{constant}": tmp_path / "constant.csv",
+                 "{missing}": tmp_path / "missing.ini"}
+        write_series(str(files["{one-row}"]), RttSeries([0.0], [5e-6]))
+        # a record constant at delta0 is fitted exactly by f_d = phi = rho = 0
+        write_series(str(files["{constant}"]),
+                     RttSeries(1e-3 * np.arange(100), np.full(100, 5e-6)))
+        out_path = tmp_path / "out.csv"
+        argv = [str(files.get(arg, arg)) for arg in argv]
+        assert cli_main(argv + ["-o", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rttsync: error: ") and message in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("method", ["ULS", "PCP", "WLS"])
+    def test_estimate_matches_the_stacked_protocol(self, tmp_path, method):
+        # the CLI states the outlier protocol of _estimate_stack by hand: ULS
+        # on the raw record, PCP after preprocess_outliers, WLS under
+        # robust_weights; the two must give the same bits
+        rng = np.random.default_rng(41)
+        for i, t0 in enumerate((0.0, 0.0, 0.37)):
+            clock = ClockTruth(1e8, float(rng.uniform(-400.0, 400.0)),
+                               float(rng.uniform(0.0, 6.0)))
+            series = generate_series(SampleSchedule(t0, 1e-3, 200), clock,
+                                     LinkTruth(2.0, 5e-6), NoiseSpec.from_snr(30.0, 30.0, 1e-8),
+                                     seed=rng)
+            y = series.values.copy()
+            y[rng.choice(200, 10, replace=False)] = rng.uniform(4.9e-6, 5.2e-6, 10)
+            path, out = tmp_path / f"s{i}.csv", tmp_path / f"e{i}.csv"
+            write_series(str(path), series.with_values(y))
+            assert cli_main(["estimate", str(path), "--method", method.lower(),
+                             "-o", str(out)]) == 0
+            row = [float(v) for v in out.read_text().splitlines()[1].split(",")[1:4]]
+            record = read_series(str(path))
+            assert robust_weights(record).n_downweighted > 0
+            t = record.times
+            grids = SearchGrids.for_schedule(t.size, (t[-1] - t[0]) / (t.size - 1))
+            stacked = estimators._estimate_stack([method], t, record.values[None], 1e-8, 5e-6,
+                                                 grids, True, method == "PCP")[method]
+            assert row == stacked[0].tolist()
 
     def test_residuals_command(self, tmp_path, capsys):
         series_path = tmp_path / "s.csv"
