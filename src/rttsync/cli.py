@@ -45,30 +45,28 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, help="(model; default 0)")
     sim.add_argument("-o", "--output", required=True)
 
-    est = sub.add_parser("estimate", help="estimate parameters from a series CSV")
-    est.add_argument("input")
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument("input")
+    fit.add_argument("--t-m", type=float, default=1e-8, help="master clock period, s")
+    fit.add_argument("--delta0", type=float, default=5e-6)
+    fit.add_argument("--f-max", type=float, default=None)
+    fit.add_argument("--no-refine", action="store_true")
+
+    est = sub.add_parser("estimate", parents=[fit], help="estimate parameters from a series CSV")
     est.add_argument("--method", choices=("uls", "pcp", "wls"), required=True)
-    est.add_argument("--t-m", type=float, default=1e-8, help="master clock period, s")
-    est.add_argument("--delta0", type=float, default=5e-6)
-    est.add_argument("--f-max", type=float, default=None)
-    est.add_argument("--no-refine", action="store_true")
     est.add_argument("-o", "--output", default=None, help="default: stdout")
 
     swp = sub.add_parser("sweep", help="run a Monte Carlo sweep from a config file")
     swp.add_argument("--config", required=True)
     swp.add_argument("-o", "--output", required=True)
 
-    res = sub.add_parser("residuals", help="residual autocorrelation report")
-    res.add_argument("input")
+    res = sub.add_parser("residuals", parents=[fit], help="residual autocorrelation report")
     res.add_argument("--method", choices=("uls", "pcp", "wls"), default="wls")
     res.add_argument("--f-d", type=float, default=None, help="use fixed parameters")
     res.add_argument("--phi", type=float, default=0.0)
     res.add_argument("--rho", type=float, default=0.0)
-    res.add_argument("--t-m", type=float, default=1e-8)
-    res.add_argument("--delta0", type=float, default=5e-6)
     res.add_argument("--max-lag", type=int, default=50)
     res.add_argument("-o", "--output", required=True)
-    res.set_defaults(f_max=None, no_refine=False)
 
     cal = sub.add_parser("calibrate", help="fit a range calibration curve")
     cal.add_argument("pairs", help="CSV with header range_m,rtt_seconds")
@@ -76,26 +74,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _grids_for(series, args):
-    # the record as the uniform schedule of its span: one gap would carry the
-    # master-edge snapping of an edge record, up to one T_m, into every
-    # lattice point. The estimators check that every stamp sits on it.
-    if len(series) < 2:
-        raise ValueError("need at least 2 samples")
-    ts = float(series.times[-1] - series.times[0]) / (len(series) - 1)
-    return estimators.SearchGrids.for_schedule(len(series), ts, f_max=args.f_max)
-
-
 def _estimate(series, method: str, args) -> estimators.Estimate:
-    if method == "uls":
-        return estimators.uls_estimate(series, args.t_m, args.delta0)
-    grids = _grids_for(series, args)
-    refine = not args.no_refine
-    if method == "pcp":
-        series = estimators.preprocess_outliers(series)
-        return estimators.pcp_estimate(series, args.t_m, args.delta0, grids, refine=refine)
-    w = estimators.robust_weights(series)
-    return estimators.wls_estimate(series, args.t_m, args.delta0, grids, w, refine=refine)
+    # the sweeps' protocol on a one-record stack, which checks no clock or stamps
+    estimators._check_clock(args.t_m, args.delta0)
+    t, grids, name = series.times, None, method.upper()
+    if method != "uls":
+        # the record as the uniform schedule of its span: one gap would carry
+        # the master-edge snapping of an edge record, up to one T_m, into
+        # every lattice point. check_sampling holds every stamp to it.
+        if len(series) < 2:
+            raise ValueError("need at least 2 samples")
+        ts = float(t[-1] - t[0]) / (len(series) - 1)
+        grids = estimators.SearchGrids.for_schedule(len(series), ts, f_max=args.f_max)
+        grids.check_sampling(t)
+    rows, keep, error = estimators._estimate_stack(
+        [name], t, series.values[None], args.t_m, args.delta0, grids, not args.no_refine,
+        method == "pcp")[name]
+    if error is not None:
+        raise error
+    return estimators.Estimate(*rows[0].tolist(), name, estimators.WeightVector(keep[0]))
 
 
 def _cmd_simulate(args) -> int:

@@ -578,15 +578,16 @@ def wls_estimate(
 
 
 def _estimate_stack(names, t, Y, T_m, delta0, grids, refine, preprocess):
-    """{name: (B, 3) rows of (f_d, phi, rho)} of the estimators `names` on the
-    records Y (B, N) sampled at t, to the bit as the one-record estimators
-    give them under the outlier protocol: ULS and PCP fit the records
-    preprocess_outliers gives if `preprocess`, else the raw ones, and WLS
+    """{name: ((B, 3) rows of (f_d, phi, rho), (B, N) inlier mask of the fit,
+    ValueError or None)} of the estimators `names` on the records Y (B, N)
+    sampled at t, to the bit as the one-record estimators give them under
+    the outlier protocol: ULS and PCP fit all samples of the records
+    preprocess_outliers gives if `preprocess`, else of the raw ones, and WLS
     fits the raw records with the inliers of robust_weights, all in one
     _wls_rows call. The stack is screened once, when first needed, and its
-    zero-MAD records fall back under one warning. A ValueError, such as a
-    record too short to screen or for the estimator, rejects every record of
-    the stack alike, so all of that estimator's rows come out NaN."""
+    zero-MAD records fall back under one warning. A ValueError rejects every
+    record alike: that estimator's rows come out NaN and the error is kept.
+    Neither the clock nor the stamps are checked here."""
     @functools.cache
     def screen():  # raises below 3 samples
         return _outlier_mask(Y)
@@ -598,16 +599,18 @@ def _estimate_stack(names, t, Y, T_m, delta0, grids, refine, preprocess):
 
     out = {}
     for name in names:
+        keep = np.ones(Y.shape, dtype=bool)
         try:
             if name == "WLS":
                 mask, zero, _ = screen()
                 _warn_uniform(zero)
-                fit = _wls_rows(t, Y - delta0, ~mask, grids, refine, T_m)
+                keep = ~mask
+                fit = _wls_rows(t, Y - delta0, keep, grids, refine, T_m)
             else:
                 data = replaced() if preprocess else Y
                 fit = (_uls_rows(t, data, T_m, delta0) if name == "ULS"
                        else _pcp_rows(t, data, T_m, delta0, grids, refine))
-            out[name] = np.stack(fit[:3], axis=1)
-        except ValueError:
-            out[name] = np.full((Y.shape[0], 3), math.nan)
+            out[name] = np.stack(fit[:3], axis=1), keep, None
+        except ValueError as exc:
+            out[name] = np.full((Y.shape[0], 3), math.nan), keep, exc
     return out

@@ -174,7 +174,7 @@ def _run_stack(cfg: ExperimentConfig, schedule: SampleSchedule, grids: SearchGri
     # a rejected record's NaN passes through each difference and the wrap
     return {name: np.stack([est[:, 0] - f_d, wrap_to_pm_pi(phi - est[:, 1]),
                             est[:, 2] - link.rho], axis=1)
-            for name, est in estimates.items()}
+            for name, (est, _, _) in estimates.items()}
 
 
 def _quartiles(s: np.ndarray) -> np.ndarray:

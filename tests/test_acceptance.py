@@ -162,7 +162,7 @@ def test_criterion_4_outlier_robustness_and_breakdown():
 @pytest.mark.xfail(
     reason="the refined PCP frequency error is flat in f_d (200 vs 32 Hz) "
     "rather than growing with it",
-    strict=False,
+    strict=True,
 )
 def test_criterion_5_fd_sensitivity():
     values = (-200.0, -100.0, -32.0, 32.0, 100.0, 200.0)

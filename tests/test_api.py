@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import rttsync
-from rttsync import montecarlo
+from rttsync import cli, montecarlo
 
 # the public API: a name added here must have a caller outside the tests
 PUBLIC_NAMES = {
@@ -29,9 +29,16 @@ def test_package_exports_exactly_the_public_api():
     assert exported == PUBLIC_NAMES
 
 
-def test_montecarlo_reaches_estimators_only_through_estimate_stack():
-    # the outlier screen and the estimator dispatch of a sweep live in estimators
-    tree = ast.parse(inspect.getsource(montecarlo))
+@pytest.mark.parametrize("module, allowed", [
+    (montecarlo, {"_estimate_stack"}),
+    (cli, {"_estimate_stack", "_check_clock"}),
+], ids=["montecarlo", "cli"])
+def test_reaches_estimators_only_through_estimate_stack(module, allowed):
+    # the outlier screen and the estimator dispatch of a sweep and of the
+    # command line live in estimators, stated once; the CLI checks the clock
+    # itself, as _estimate_stack does not
+    source = inspect.getsource(module)
+    tree = ast.parse(source)
     private = {
         node.attr for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -42,7 +49,10 @@ def test_montecarlo_reaches_estimators_only_through_estimate_stack():
         if isinstance(node, ast.ImportFrom) and node.module == "estimators"
         for alias in node.names if alias.name.startswith("_")
     }
-    assert private == {"_estimate_stack"}
+    assert private == allowed
+    protocol = ("robust_weights", "preprocess_outliers", "uls_estimate", "pcp_estimate",
+                "wls_estimate")
+    assert [name for name in protocol if name in source] == []
 
 
 @pytest.mark.parametrize("build, message", [

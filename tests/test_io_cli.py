@@ -1,15 +1,25 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rttsync import estimators
 from rttsync.analysis import calibrate_range, residual_acf
 from rttsync.cli import _build_parser, cli_main
-from rttsync.estimators import SearchGrids, robust_weights, uls_estimate, wls_estimate
+from rttsync.estimators import (
+    Estimate,
+    SearchGrids,
+    pcp_estimate,
+    preprocess_outliers,
+    robust_weights,
+    uls_estimate,
+    wls_estimate,
+)
 from rttsync.io import (
     acf_to_csv,
     atomic_write_text,
@@ -32,6 +42,7 @@ from rttsync.model import (
     RttSeries,
     SampleSchedule,
     generate_series,
+    sawtooth_template,
 )
 from rttsync.montecarlo import ExperimentConfig, OutlierSpec, run_sweep
 
@@ -41,6 +52,50 @@ def sample_series(N=20, seed=0):
     link = LinkTruth(rho=2.0, delta0=5e-6)
     noise = NoiseSpec.from_snr(40.0, 40.0, 1e-8)
     return generate_series(SampleSchedule(0.0, 1e-3, N), clock, link, noise, seed=seed)
+
+
+def library_estimate(record, method, f_max=None, refine=True):
+    """What `rttsync estimate --method <method>` computes, as the README states
+    it with the public one-record estimators: ULS on the raw record, PCP after
+    preprocess_outliers, WLS under robust_weights, PCP and WLS on the grid of
+    the record's span, at the CLI's default T_m = 10 ns and delta0 = 5 us."""
+    if method == "uls":
+        return uls_estimate(record, 1e-8, 5e-6)
+    t = record.times
+    ts = float(t[-1] - t[0]) / (len(record) - 1) if len(record) > 1 else math.nan
+    grids = SearchGrids.for_schedule(len(record), ts, f_max=f_max)
+    if method == "pcp":
+        return pcp_estimate(preprocess_outliers(record), 1e-8, 5e-6, grids, refine=refine)
+    return wls_estimate(record, 1e-8, 5e-6, grids, robust_weights(record), refine=refine)
+
+
+def library_outcome(path, method, f_max=None, refine=True):
+    """(exit code, estimate CSV or stderr text, warning texts) that the CLI
+    should give on the series file path: the library's, or its ValueError."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            est = library_estimate(read_series(str(path)), method, f_max, refine)
+            outcome = 0, estimate_to_csv(est)
+        except ValueError as exc:
+            outcome = 2, f"rttsync: error: {exc}\n"
+    return (*outcome, [str(w.message) for w in caught])
+
+
+def cli_outcome(path, method, out, flags=()):
+    """(exit code, -o file text or stderr text, warning texts) of
+    `rttsync estimate path --method method *flags -o out`."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = cli_main(["estimate", str(path), "--method", method, *flags, "-o", str(out)])
+    if rc == 0:
+        assert err.getvalue() == ""
+        text = out.read_text()
+    else:
+        assert not out.exists()
+        text = err.getvalue()
+    return rc, text, [str(w.message) for w in caught]
 
 
 class TestSeriesCsv:
@@ -598,11 +653,17 @@ class TestCli:
         assert err.startswith("rttsync: error: ") and message in err
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("method", ["ULS", "PCP", "WLS"])
-    def test_estimate_matches_the_stacked_protocol(self, tmp_path, method):
-        # the CLI states the outlier protocol of _estimate_stack by hand: ULS
-        # on the raw record, PCP after preprocess_outliers, WLS under
-        # robust_weights; the two must give the same bits
+    @pytest.mark.parametrize("method, kind, shows", [
+        ("uls", "outliers", None),
+        ("pcp", "outliers", None),
+        ("wls", "outliers", None),
+        ("wls", "zero-mad", "zero MAD with nonzero deviations in 1 of 1 records"),
+        ("pcp", "three-samples", "need at least 4 samples"),
+    ], ids=["ULS", "PCP", "WLS", "WLS-zero-MAD", "PCP-three-samples"])
+    def test_estimate_matches_the_stacked_protocol(self, tmp_path, method, kind, shows):
+        # the CLI runs _estimate_stack's protocol on a one-record stack; the
+        # README states it as a composition of the public estimators, and
+        # the two must give the same bytes, warnings and errors
         rng = np.random.default_rng(41)
         for i, t0 in enumerate((0.0, 0.0, 0.37)):
             clock = ClockTruth(1e8, float(rng.uniform(-400.0, 400.0)),
@@ -611,19 +672,18 @@ class TestCli:
                                      LinkTruth(2.0, 5e-6), NoiseSpec.from_snr(30.0, 30.0, 1e-8),
                                      seed=rng)
             y = series.values.copy()
-            y[rng.choice(200, 10, replace=False)] = rng.uniform(4.9e-6, 5.2e-6, 10)
-            path, out = tmp_path / f"s{i}.csv", tmp_path / f"e{i}.csv"
-            write_series(str(path), series.with_values(y))
-            assert cli_main(["estimate", str(path), "--method", method.lower(),
-                             "-o", str(out)]) == 0
-            row = [float(v) for v in out.read_text().splitlines()[1].split(",")[1:4]]
-            record = read_series(str(path))
-            assert robust_weights(record).n_downweighted > 0
-            t = record.times
-            grids = SearchGrids.for_schedule(t.size, (t[-1] - t[0]) / (t.size - 1))
-            stacked = estimators._estimate_stack([method], t, record.values[None], 1e-8, 5e-6,
-                                                 grids, True, method == "PCP")[method]
-            assert row == stacked[0].tolist()
+            if kind == "outliers":
+                y[rng.choice(200, 10, replace=False)] = rng.uniform(4.9e-6, 5.2e-6, 10)
+                assert robust_weights(series.with_values(y)).n_downweighted > 0
+            elif kind == "zero-mad":  # a majority of equal samples, the rest off them
+                y[:120] = y[0]
+            n = 3 if kind == "three-samples" else 200
+            path = tmp_path / f"s{i}.csv"
+            write_series(str(path), RttSeries(series.times[:n], y[:n]))
+            got = cli_outcome(path, method, tmp_path / f"e{i}.csv")
+            assert got == library_outcome(path, method)
+            if shows is not None:
+                assert shows in got[1] + "".join(got[2])
 
     def test_residuals_command(self, tmp_path, capsys):
         series_path = tmp_path / "s.csv"
@@ -653,6 +713,23 @@ class TestCli:
         )
         assert rc == 0
         assert len(out_path.read_text().splitlines()) == 22
+
+    def test_residuals_take_the_fit_flags_of_estimate(self, tmp_path):
+        # residuals and estimate share one parser for the record and the fit
+        series_path = tmp_path / "s.csv"
+        cli_main(["simulate", "--f-d", "-32", "--snr-c-db", "30", "--snr-j-db", "30",
+                  "-n", "200", "-o", str(series_path)])
+        flags = ["--method", "wls", "--f-max", "200", "--no-refine"]
+        est_path, acf_path = tmp_path / "est.csv", tmp_path / "acf.csv"
+        assert cli_main(["estimate", str(series_path), *flags, "-o", str(est_path)]) == 0
+        assert cli_main(["residuals", str(series_path), *flags, "-o", str(acf_path)]) == 0
+        f_d, phi, rho = (float(v) for v in est_path.read_text().splitlines()[1].split(",")[1:4])
+        report = residual_acf(read_series(str(series_path)), Estimate(f_d, phi, rho, "WLS"),
+                              50, 1e-8, 5e-6)
+        assert acf_path.read_text() == acf_to_csv(report)
+        default = tmp_path / "default.csv"
+        assert cli_main(["estimate", str(series_path), "--method", "wls", "-o", str(default)]) == 0
+        assert default.read_bytes() != est_path.read_bytes()
 
     def test_search_estimators_reject_bad_time_stamps(self, tmp_path, capsys):
         # the command line takes a record as the uniform schedule of its span:
@@ -738,3 +815,60 @@ class TestCli:
         cli_main(argv + ["-o", str(p1)])
         cli_main(argv + ["-o", str(p2)])
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@st.composite
+def cli_cases(draw):
+    """(times, values, method, f_max, refine) of `rttsync estimate` on a
+    record as a file may hold one: N 1-300 stamps from t0 up to 1e12 s,
+    every Ts in 1e-9-1 s, jittered or not (and repeating where t0 swamps
+    Ts), holding a noisy sawtooth, noise alone, a constant or two values;
+    f_max within, beyond or below the grid of the record's span."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 100, 300]) | st.integers(5, 300))
+    t0 = draw(st.sampled_from([0.0, 0.37, 1e6, 1e12]) | st.floats(0.0, 1e12))
+    ts = 10.0 ** draw(st.floats(-9.0, 0.0))
+    jitter = draw(st.sampled_from([0.0, 0.0, 0.0, 1e-6, 1e-2, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = t0 + ts * np.arange(n) + jitter * ts * rng.standard_normal(n)
+    kind = draw(st.sampled_from(["sawtooth", "sawtooth", "noise", "constant", "two-valued"]))
+    if kind == "sawtooth":
+        f_d = draw(st.floats(-0.45, 0.45)) / ts
+        y = (5e-6 + 1e-9 * rng.standard_normal(n)
+             + sawtooth_template(t, f_d, draw(st.floats(0.0, 6.28)), 1e-8))
+    elif kind == "noise":
+        y = 5e-6 + 1e-8 * rng.random(n)
+    elif kind == "constant":
+        y = np.full(n, draw(st.floats(4e-6, 6e-6)))
+    else:
+        y = np.where(rng.random(n) < draw(st.floats(0.0, 1.0)), 5e-6, 5.005e-6)
+    # as a fraction of the Nyquist frequency 1/(2 Ts)
+    f_max = draw(st.sampled_from([None, None, 0.4, 1.5, 1e-3]))
+    return (t, y, draw(st.sampled_from(["uls", "pcp", "wls"])),
+            None if f_max is None else f_max / (2.0 * ts), draw(st.booleans()))
+
+
+class TestCliBoundary:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(cli_cases())
+    def test_estimate_is_the_library_composition_or_one_error(self, tmp_path_factory, case):
+        # exit 0 with the public composition's bytes and warnings, or exit 2
+        # with one error line and no output file where the library raises;
+        # stamps are checked before the screen, so a record they reject
+        # gives no zero-MAD warning
+        t, y, method, f_max, refine = case
+        tmp = tmp_path_factory.mktemp("boundary")
+        path, out = tmp / "r.csv", tmp / "e.csv"
+        path.write_text("t_seconds,y_seconds\n"
+                        + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), y.tolist())))
+        flags = [] if f_max is None else ["--f-max", repr(f_max)]
+        flags += [] if refine else ["--no-refine"]
+        rc, text, caught = cli_outcome(path, method, out, flags)
+        want_rc, want_text, want_caught = library_outcome(path, method, f_max, refine)
+        assert rc == want_rc
+        if rc == 0:
+            assert (text, caught) == (want_text, want_caught)
+            assert all(math.isfinite(float(v)) for v in text.splitlines()[1].split(",")[1:])
+        else:
+            assert text.startswith("rttsync: error: ") and text.count("\n") == 1
+            if len(t) > 1:  # one stamp: the CLI names the count, the grid its zero Ts
+                assert text == want_text
