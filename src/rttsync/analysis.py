@@ -89,11 +89,13 @@ def residual_acf(
 def calibrate_range(pairs) -> CalibrationCurve:
     """Least-squares fifth-order fit of (mean RTT, true range) pairs.
 
-    Needs at least 7 pairs with distinct RTT values.
+    Needs at least 7 finite pairs with distinct RTT values.
     """
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("pairs must be (range_m, rtt_s) rows")
+    if not np.isfinite(pairs).all():
+        raise ValueError("pairs must be finite")
     ranges = pairs[:, 0]
     rtts = pairs[:, 1]
     if np.unique(rtts).size != rtts.size:

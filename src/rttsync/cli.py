@@ -75,24 +75,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _estimate(series, method: str, args) -> estimators.Estimate:
-    # the sweeps' protocol on a one-record stack, which checks no clock or stamps
+    # the sweeps' protocol on a one-record stack, which checks no clock
     estimators._check_clock(args.t_m, args.delta0)
     t, grids, name = series.times, None, method.upper()
     if method != "uls":
         # the record as the uniform schedule of its span: one gap would carry
         # the master-edge snapping of an edge record, up to one T_m, into
-        # every lattice point. check_sampling holds every stamp to it.
+        # every lattice point. The stack holds every stamp to it.
         if len(series) < 2:
             raise ValueError("need at least 2 samples")
         ts = float(t[-1] - t[0]) / (len(series) - 1)
         grids = estimators.SearchGrids.for_schedule(len(series), ts, f_max=args.f_max)
-        grids.check_sampling(t)
-    rows, keep, error = estimators._estimate_stack(
+    fit, keep, error = estimators._estimate_stack(
         [name], t, series.values[None], args.t_m, args.delta0, grids, not args.no_refine,
         method == "pcp")[name]
     if error is not None:
         raise error
-    return estimators.Estimate(*rows[0].tolist(), name, estimators.WeightVector(keep[0]))
+    return fit.estimate(name, keep)
 
 
 def _cmd_simulate(args) -> int:

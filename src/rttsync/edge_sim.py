@@ -47,7 +47,9 @@ class Oscillator:
 
     @classmethod
     def from_frequency(cls, f0: float, f: float, varphi: float = 0.0) -> "Oscillator":
-        """Oscillator with nominal f0 but actual frequency f."""
+        """Oscillator with nominal f0 but actual frequency f > 0."""
+        if not f > 0.0:
+            raise ValueError("f must be positive")
         return cls(f0=f0, alpha=f0 / f, varphi=varphi)
 
 

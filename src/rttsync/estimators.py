@@ -14,6 +14,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,10 +65,6 @@ class WeightVector:
             raise ValueError("weights must be 0 or 1")
         if not np.any(w > 0.0):
             raise ValueError("all weights are zero")
-
-    @classmethod
-    def uniform(cls, n: int) -> "WeightVector":
-        return cls(np.ones(n))
 
     @property
     def n_used(self) -> int:
@@ -166,6 +163,24 @@ class Estimate:
             "n_used": w.n_used if w is not None else 0,
             "n_downweighted": w.n_downweighted if w is not None else 0,
         }
+
+
+class _Fit(NamedTuple):
+    """A row kernel's fit of the rows of a (B, N) stack, per row (B,)."""
+
+    f: np.ndarray  # Hz
+    phi: np.ndarray  # rad
+    rho: np.ndarray  # m
+    width: np.ndarray | None = None  # phase segment, rad: NaN on a constant PCP row; ULS: None
+    f_step: float | None = None  # the final frequency step; ULS: None
+
+    def estimate(self, method: str, keep: np.ndarray, b: int = 0) -> Estimate:
+        """Row b as the Estimate of `method`, weighted by row b of the inlier
+        mask keep (B, N); a row with no phase segment has no grid steps."""
+        width = math.nan if self.width is None else float(self.width[b])
+        steps = (None, None) if math.isnan(width) else (self.f_step, width)
+        return Estimate(float(self.f[b]), float(self.phi[b]), float(self.rho[b]), method,
+                        WeightVector(keep[b]), *steps)
 
 
 def _check_clock(T_m: float, delta0: float) -> None:
@@ -276,10 +291,10 @@ def residuals(
 
 
 def _uls_rows(t, y, T_m, delta0):
-    """(f_d, phi, rho) of ULS for each row of y (B, N) sampled at t. The
-    least-squares line through each row's unwrapped phase u comes in closed
-    form about the means: slope = sum (u - u_bar)(t - t_bar) / sum (t - t_bar)^2,
-    exact up to rounding, each row reduced on its own, as in a one-record call."""
+    """_Fit of ULS, with no width or f_step, on each row of y (B, N) sampled
+    at t. The least-squares line through each row's unwrapped phase u comes
+    in closed form about the means: slope = sum (u - u_bar)(t - t_bar) /
+    sum (t - t_bar)^2, exact up to rounding, each row reduced as in a one-record call."""
     if y.shape[1] < 2:
         raise ValueError("need at least 2 samples")
     y_bar = np.mean(y, axis=1, keepdims=True)
@@ -291,7 +306,7 @@ def _uls_rows(t, y, T_m, delta0):
     slope = np.vecdot(u - u_bar[:, None], dt) / np.vecdot(dt, dt)
     intercept = u_bar - slope * t_bar
     # centering by y_bar removed the sawtooth mean (~pi); add it back
-    return slope / TWO_PI, wrap_to_2pi(intercept + math.pi), rho
+    return _Fit(slope / TWO_PI, wrap_to_2pi(intercept + math.pi), rho)
 
 
 def uls_estimate(series: RttSeries, T_m: float, delta0: float) -> Estimate:
@@ -303,15 +318,8 @@ def uls_estimate(series: RttSeries, T_m: float, delta0: float) -> Estimate:
     c*T_m/4 on short or degenerate (constant) records.
     """
     _check_clock(T_m, delta0)
-    (f_d_hat,), (phi_hat,), (rho_hat,) = _uls_rows(
-        series.times, series.values[None], T_m, delta0)
-    return Estimate(
-        f_d_hat=float(f_d_hat),
-        phi_hat=float(phi_hat),
-        rho_hat=float(rho_hat),
-        method="ULS",
-        weights=WeightVector.uniform(len(series)),
-    )
+    fit = _uls_rows(series.times, series.values[None], T_m, delta0)
+    return fit.estimate("ULS", np.ones((1, len(series)), dtype=bool))
 
 
 def _zoom_power(u, t, df, P):
@@ -379,10 +387,9 @@ def _peak_frequency(y, t, grids, refine, positive=False):
 
 
 def _pcp_rows(t, y, T_m, delta0, grids, refine):
-    """PCP on each row of y (B, N). Returns (f_d, phi, rho, phi segment
-    width, flag of a constant row) per row and the final frequency step. A
-    row constant to rounding carries no frequency information: it gets
-    f = phi = 0 and the range of its mean."""
+    """_Fit of PCP on each row of y (B, N). A row constant to rounding
+    carries no frequency information: it gets f = phi = 0, the range of its
+    mean and a NaN width."""
     if y.shape[1] < 4:
         raise ValueError("need at least 4 samples")
     y0 = y - np.mean(y, axis=1, keepdims=True)
@@ -404,8 +411,8 @@ def _pcp_rows(t, y, T_m, delta0, grids, refine):
     r = y - sawtooth_template(t, f_d[:, None], phi[:, None], T_m) - delta0
     rho = 0.5 * SPEED_OF_LIGHT / r.shape[1] * r.sum(axis=1)
     rho_flat = 0.5 * SPEED_OF_LIGHT * np.mean(y - delta0, axis=1)
-    return (np.where(flat, 0.0, f_d), np.where(flat, 0.0, phi), np.where(flat, rho_flat, rho),
-            phi_width, flat, f_step)
+    return _Fit(np.where(flat, 0.0, f_d), np.where(flat, 0.0, phi),
+                np.where(flat, rho_flat, rho), np.where(flat, math.nan, phi_width), f_step)
 
 
 def pcp_estimate(
@@ -425,17 +432,8 @@ def pcp_estimate(
     """
     _check_clock(T_m, delta0)
     grids.check_sampling(series.times)
-    (f_d_hat,), (phi_hat,), (rho_hat,), (phi_width,), (flat,), f_step = _pcp_rows(
-        series.times, series.values[None], T_m, delta0, grids, refine)
-    return Estimate(
-        f_d_hat=float(f_d_hat),
-        phi_hat=float(phi_hat),
-        rho_hat=float(rho_hat),
-        method="PCP",
-        weights=WeightVector.uniform(len(series)),
-        f_grid_step=None if flat else f_step,
-        phi_grid_step=None if flat else float(phi_width),
-    )
+    fit = _pcp_rows(series.times, series.values[None], T_m, delta0, grids, refine)
+    return fit.estimate("PCP", np.ones((1, len(series)), dtype=bool))
 
 
 def wls_cost(
@@ -511,8 +509,7 @@ def _wls_search(b, t, f, T_m):
 
 def _wls_rows(t, b, keep, grids, refine, T_m):
     """WLS on rows of b = y - delta0 (B, N) sampled at t (N,), each with its
-    boolean inlier mask keep (B, N). Returns (f_d, phi, rho, segment width)
-    per row and the final frequency step. A dropped sample is 0 in the
+    boolean inlier mask keep (B, N), as a _Fit. A dropped sample is 0 in the
     frequency search, where it adds nothing to any sum; the phase search,
     where it would bound a segment, and the range take the inliers only."""
     z = np.where(keep, np.exp((2j * math.pi / T_m) * b), 0.0)
@@ -530,7 +527,7 @@ def _wls_rows(t, b, keep, grids, refine, T_m):
 
     r = b - sawtooth_template(t, f[:, None], phi[:, None], T_m)
     rho = 0.5 * SPEED_OF_LIGHT * (np.vecdot(keep, r) / np.count_nonzero(keep, axis=1))
-    return f, phi, rho, phi_width, f_step
+    return _Fit(f, phi, rho, phi_width, f_step)
 
 
 def wls_estimate(
@@ -555,39 +552,28 @@ def wls_estimate(
     not the global minimiser of that cost (see wls_cost).
     """
     _check_clock(T_m, delta0)
-    if w is None:
-        w = WeightVector.uniform(len(series))
-    if w.w.size != len(series):
+    keep = np.ones((1, len(series)), dtype=bool) if w is None else w.w[None] > 0.0
+    if keep.size != len(series):
         raise ValueError("weight length mismatch")
-    if w.n_used < 2:
+    if np.count_nonzero(keep) < 2:
         raise ValueError("need at least 2 kept samples")
-    t = series.times
-    grids.check_sampling(t)
-    b = series.values - delta0
-    (f_hat,), (phi_hat,), (rho_hat,), (phi_width,), f_step = _wls_rows(
-        t, b[None], w.w[None] > 0.0, grids, refine, T_m)
-    return Estimate(
-        f_d_hat=float(f_hat),
-        phi_hat=float(phi_hat),
-        rho_hat=float(rho_hat),
-        method="WLS",
-        weights=w,
-        f_grid_step=f_step,
-        phi_grid_step=float(phi_width),
-    )
+    grids.check_sampling(series.times)
+    fit = _wls_rows(series.times, series.values[None] - delta0, keep, grids, refine, T_m)
+    return fit.estimate("WLS", keep)
 
 
 def _estimate_stack(names, t, Y, T_m, delta0, grids, refine, preprocess):
-    """{name: ((B, 3) rows of (f_d, phi, rho), (B, N) inlier mask of the fit,
-    ValueError or None)} of the estimators `names` on the records Y (B, N)
-    sampled at t, to the bit as the one-record estimators give them under
-    the outlier protocol: ULS and PCP fit all samples of the records
-    preprocess_outliers gives if `preprocess`, else of the raw ones, and WLS
-    fits the raw records with the inliers of robust_weights, all in one
-    _wls_rows call. The stack is screened once, when first needed, and its
-    zero-MAD records fall back under one warning. A ValueError rejects every
-    record alike: that estimator's rows come out NaN and the error is kept.
-    Neither the clock nor the stamps are checked here."""
+    """{name: (_Fit, (B, N) inlier mask of the fit, ValueError or None)} of
+    the estimators `names` on the records Y (B, N) sampled at t, to the bit
+    as the one-record estimators give them under the outlier protocol: ULS
+    and PCP fit all samples of the records preprocess_outliers gives if
+    `preprocess`, else of the raw ones, and WLS fits the raw records with
+    the inliers of robust_weights, all in one _wls_rows call. PCP and WLS
+    first check the stamps against grids, as their public calls do. The
+    stack is screened once, when first needed, and its zero-MAD records
+    fall back under one warning. A ValueError rejects every record alike:
+    that estimator's fit comes out NaN and the error is kept. The clock is
+    not checked here."""
     @functools.cache
     def screen():  # raises below 3 samples
         return _outlier_mask(Y)
@@ -601,6 +587,8 @@ def _estimate_stack(names, t, Y, T_m, delta0, grids, refine, preprocess):
     for name in names:
         keep = np.ones(Y.shape, dtype=bool)
         try:
+            if name != "ULS":
+                grids.check_sampling(t)
             if name == "WLS":
                 mask, zero, _ = screen()
                 _warn_uniform(zero)
@@ -610,7 +598,7 @@ def _estimate_stack(names, t, Y, T_m, delta0, grids, refine, preprocess):
                 data = replaced() if preprocess else Y
                 fit = (_uls_rows(t, data, T_m, delta0) if name == "ULS"
                        else _pcp_rows(t, data, T_m, delta0, grids, refine))
-            out[name] = np.stack(fit[:3], axis=1), keep, None
+            out[name] = fit, keep, None
         except ValueError as exc:
-            out[name] = np.full((Y.shape[0], 3), math.nan), keep, exc
+            out[name] = _Fit(*np.full((3, Y.shape[0]), math.nan)), keep, exc
     return out

@@ -36,8 +36,8 @@ _STAT_KEYS = [f"{stat}_{param}" for param in _PARAMS for stat in _STATS]
 
 @dataclass(frozen=True)
 class OutlierSpec:
-    """Replace a fraction of samples with uniform draws from [lo, hi] seconds
-    at uniformly random positions."""
+    """Replace a fraction of samples with uniform draws from [lo, hi] seconds,
+    both finite, at uniformly random positions."""
 
     fraction: float
     lo: float = 3.5e-6
@@ -46,6 +46,8 @@ class OutlierSpec:
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("fraction must lie in [0, 1]")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError("lo and hi must be finite")
         if not self.lo < self.hi:
             raise ValueError("lo must be below hi")
 
@@ -76,6 +78,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("M must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.sweep_axis not in SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {self.sweep_axis!r}")
         values = tuple(float(v) for v in self.sweep_values)
@@ -172,9 +176,9 @@ def _run_stack(cfg: ExperimentConfig, schedule: SampleSchedule, grids: SearchGri
     estimates = estimators._estimate_stack(cfg.estimators, t, Y, cfg.clock.T_m, link.delta0,
                                            grids, cfg.refine, cfg.preprocess)
     # a rejected record's NaN passes through each difference and the wrap
-    return {name: np.stack([est[:, 0] - f_d, wrap_to_pm_pi(phi - est[:, 1]),
-                            est[:, 2] - link.rho], axis=1)
-            for name, (est, _, _) in estimates.items()}
+    return {name: np.stack([fit.f - f_d, wrap_to_pm_pi(phi - fit.phi), fit.rho - link.rho],
+                           axis=1)
+            for name, (fit, _, _) in estimates.items()}
 
 
 def _quartiles(s: np.ndarray) -> np.ndarray:

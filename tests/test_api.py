@@ -1,5 +1,6 @@
 import ast
 import inspect
+import math
 import types
 
 import numpy as np
@@ -69,9 +70,18 @@ def test_reaches_estimators_only_through_estimate_stack(module, allowed):
     (lambda: rttsync.ExchangeConfig(K=500, rho=-1.0), "rho must be nonnegative"),
     (lambda: rttsync.unwrap([]), "empty input"),
     (lambda: rttsync.calibrate_range(np.ones((7, 3))), "range_m, rtt_s"),
+    (lambda: rttsync.calibrate_range(np.full((9, 2), math.nan)), "pairs must be finite"),
+    (lambda: rttsync.Oscillator.from_frequency(f0=1e8, f=0.0), "f must be positive"),
+    (lambda: rttsync.OutlierSpec(0.1, hi=math.inf), "lo and hi must be finite"),
+    (lambda: rttsync.OutlierSpec(0.1, lo=-math.inf), "lo and hi must be finite"),
+    (lambda: rttsync.ExperimentConfig(
+        rttsync.ClockTruth(1e8, -32.0), rttsync.LinkTruth(2.0, 5e-6),
+        rttsync.SampleSchedule(0.0, 1e-3, 30), rttsync.NoiseSpec(), seed=-1),
+     "seed must be nonnegative"),
 ], ids=["clock-f-m", "link-rho", "link-delta0", "schedule-ts", "noise-sigma", "series-2d",
         "series-lengths", "weights-2d", "oscillator-f0", "oscillator-alpha", "exchange-rho",
-        "unwrap-empty", "calibration-shape"])
+        "unwrap-empty", "calibration-shape", "calibration-non-finite", "oscillator-f",
+        "outlier-hi-infinite", "outlier-lo-infinite", "config-seed"])
 def test_public_types_reject_bad_values(build, message):
     # bad input stops where it enters, with a ValueError that says why
     with pytest.raises(ValueError, match=message):

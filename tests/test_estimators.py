@@ -540,7 +540,7 @@ class TestUls:
             SampleSchedule(0.37, 1e-3, 200),
             ClockTruth(1e8, float(rng.uniform(-200.0, 200.0)), float(rng.uniform(0.0, TWO_PI))),
             LINK, noise, seed=rng).values for _ in range(B)])
-        f_d, phi, _ = _uls_rows(t, Y, T_M, LINK.delta0)
+        fit = _uls_rows(t, Y, T_M, LINK.delta0)
         u = unwrap((TWO_PI / T_M) * (Y - Y.mean(axis=1, keepdims=True)))
         ts = [Fraction(x) for x in t.tolist()]
         n, s_t, s_tt = len(ts), sum(ts), sum(x * x for x in ts)
@@ -549,8 +549,8 @@ class TestUls:
             s_u, s_tu = sum(us), sum(x * y for x, y in zip(ts, us))
             slope = (n * s_tu - s_t * s_u) / (n * s_tt - s_t * s_t)
             intercept = (s_u - slope * s_t) / n
-            assert f_d[b] == pytest.approx(float(slope) / TWO_PI, rel=1e-12)
-            assert abs(wrap_to_pm_pi(phi[b] - float(intercept) - math.pi)) < 1e-9
+            assert fit.f[b] == pytest.approx(float(slope) / TWO_PI, rel=1e-12)
+            assert abs(wrap_to_pm_pi(fit.phi[b] - float(intercept) - math.pi)) < 1e-9
 
     def test_noiseless_recovery(self):
         # 33 cycles over 1000 samples: wrap positions fill a dense lattice
@@ -718,12 +718,12 @@ class TestWlsCost:
 
     def test_nonnegative(self):
         series, _, link = noiseless(-32.0, 2.0, N=50)
-        w = WeightVector.uniform(50)
+        w = WeightVector(np.ones(50))
         assert wls_cost(10.0, 1.0, series, T_M, link.delta0, w) >= 0.0
 
     def test_zero_at_truth(self):
         series, clock, link = noiseless(-32.0, 2.0, N=50)
-        w = WeightVector.uniform(50)
+        w = WeightVector(np.ones(50))
         assert wls_cost(
             clock.f_d, clock.phi, series, T_M, link.delta0, w
         ) == pytest.approx(0.0, abs=1e-28)
@@ -843,7 +843,7 @@ class TestWlsEstimate:
         series, _, link = noiseless(-32.0, 2.0, N=100)
         g = SearchGrids.for_schedule(N=100, Ts=1e-3)
         with pytest.raises(ValueError):
-            wls_estimate(series, T_M, link.delta0, g, w=WeightVector.uniform(99))
+            wls_estimate(series, T_M, link.delta0, g, w=WeightVector(np.ones(99)))
 
     def test_refuses_fewer_than_2_kept_samples(self):
         # one sample fixes no frequency: a 1-sample record gave f_d = -f_max,
@@ -968,7 +968,7 @@ CLOCK_CALLS = {
     "pcp_estimate": lambda T_m, d: pcp_estimate(BOUNDARY_SERIES, T_m, d, BOUNDARY_GRIDS),
     "wls_estimate": lambda T_m, d: wls_estimate(BOUNDARY_SERIES, T_m, d, BOUNDARY_GRIDS),
     "wls_cost": lambda T_m, d: wls_cost(
-        -32.0, 1.0, BOUNDARY_SERIES, T_m, d, WeightVector.uniform(len(BOUNDARY_SERIES))),
+        -32.0, 1.0, BOUNDARY_SERIES, T_m, d, WeightVector(np.ones(len(BOUNDARY_SERIES)))),
     "residuals": lambda T_m, d: residuals(BOUNDARY_SERIES, FIXED, T_m, d),
     "residual_acf": lambda T_m, d: residual_acf(BOUNDARY_SERIES, FIXED, 10, T_m, d),
 }

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rttsync.analysis import calibrate_range, residual_acf
-from rttsync.cli import _build_parser, cli_main
+from rttsync.cli import _build_parser, _estimate, cli_main
 from rttsync.estimators import (
     Estimate,
     SearchGrids,
@@ -67,6 +67,12 @@ def library_estimate(record, method, f_max=None, refine=True):
     if method == "pcp":
         return pcp_estimate(preprocess_outliers(record), 1e-8, 5e-6, grids, refine=refine)
     return wls_estimate(record, 1e-8, 5e-6, grids, robust_weights(record), refine=refine)
+
+
+def estimate_fields(est):
+    """Every field of an Estimate, its weights as a list."""
+    return (est.f_d_hat, est.phi_hat, est.rho_hat, est.method, est.weights.w.tolist(),
+            est.f_grid_step, est.phi_grid_step)
 
 
 def library_outcome(path, method, f_max=None, refine=True):
@@ -575,9 +581,14 @@ class TestCli:
          "exp.ini: bad value '' for key 'sweep_values'"),
         ("[experiment]\n" + _CONFIG_BODY.replace("estimators = uls", "estimators ="),
          "exp.ini: bad value '' for key 'estimators'"),
+        # an OverflowError traceback from the outlier draws
+        ("[experiment]\n" + _CONFIG_BODY + "outlier_fraction = 0.1\noutlier_hi = inf\n",
+         "lo and hi must be finite"),
+        # numpy's bare "expected non-negative integer"
+        ("[experiment]\n" + _CONFIG_BODY + "seed = -1\n", "seed must be nonnegative"),
     ], ids=["no-section", "repeated-key", "unknown-key", "snr-and-sigma-n", "snr-and-sigma-v",
             "bounds-without-fraction", "malformed-int", "malformed-boolean", "empty-sweep-values",
-            "empty-estimators"])
+            "empty-estimators", "infinite-outlier-bound", "negative-seed"])
     def test_sweep_rejects_bad_config_file(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "exp.ini"
         cfg_path.write_text(text)
@@ -638,7 +649,10 @@ class TestCli:
         (["sweep", "--config", "{missing}"], "cannot read config"),
         (["residuals", "{constant}", "--f-d", "0", "--phi", "0", "--rho", "0"],
          "residuals are identically zero"),
-    ], ids=["uls-one-row", "snr-c-alone", "missing-config", "zero-residuals"])
+        # f_d = f_m stops the slave clock: a ZeroDivisionError traceback
+        (["simulate", "--generator", "edge", "--f-d=1e8"], "f must be positive"),
+    ], ids=["uls-one-row", "snr-c-alone", "missing-config", "zero-residuals",
+            "edge-slave-at-0-hz"])
     def test_rejects_input_at_the_boundary(self, tmp_path, capsys, argv, message):
         files = {"{one-row}": tmp_path / "one.csv", "{constant}": tmp_path / "constant.csv",
                  "{missing}": tmp_path / "missing.ini"}
@@ -684,6 +698,14 @@ class TestCli:
             assert got == library_outcome(path, method)
             if shows is not None:
                 assert shows in got[1] + "".join(got[2])
+            if got[0] == 0:  # the Estimate itself, beyond the CSV's fields
+                record = read_series(str(path))
+                args = _build_parser().parse_args(["estimate", str(path), "--method", method])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    ours = _estimate(record, method, args)
+                    want = library_estimate(record, method)
+                assert estimate_fields(ours) == estimate_fields(want)
 
     def test_residuals_command(self, tmp_path, capsys):
         series_path = tmp_path / "s.csv"
@@ -784,6 +806,23 @@ class TestCli:
         assert rc == 0
         curve = read_curve(str(out_path))
         assert curve.coefficients.size == 6
+
+    @pytest.mark.parametrize("column", [0, 1], ids=["range", "rtt"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_calibrate_rejects_non_finite_pairs(self, tmp_path, capsys, column, value):
+        # a non-finite range wrote NaN coefficients, which are not JSON and
+        # which read_curve refuses; a non-finite RTT failed inside LAPACK
+        ranges = np.linspace(1.0, 20.0, 9)
+        rows = [[repr(float(r)), repr(5e-6 + 2.0 * float(r) / SPEED_OF_LIGHT)] for r in ranges]
+        rows[4][column] = value
+        pairs_path = tmp_path / "pairs.csv"
+        pairs_path.write_text("range_m,rtt_seconds\n" + "".join(f"{a},{b}\n" for a, b in rows))
+        out_path = tmp_path / "curve.json"
+        assert cli_main(["calibrate", str(pairs_path), "-o", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rttsync: error: ") and err.count("\n") == 1
+        assert "pairs must be finite" in err
+        assert not out_path.exists()
 
     def test_parser_reused_without_leaking_state(self, tmp_path, capsys):
         assert _build_parser() is _build_parser()

@@ -400,6 +400,9 @@ STACKING_CASES = {
     "mixed_constant": dict(M=4, noise=NoiseSpec(), sweep_axis="f_d", sweep_values=(0.0, 32.0)),
     "mixed_zero_mad": dict(M=4, noise=NoiseSpec(), outliers=OutlierSpec(fraction=0.1),
                            sweep_axis="f_d", sweep_values=(0.0, 32.0)),
+    # stamps counted from an epoch, off the 1 ms lattice in float: PCP and
+    # WLS reject them (check_sampling), ULS does not check stamps
+    "epoch_off_lattice": dict(M=3, schedule=SampleSchedule(1e11, 1e-3, 50)),
 }
 
 # cases whose f_d = 0 records fall back to uniform WLS weights, one per trial
@@ -422,6 +425,8 @@ class TestStackedSweep:
             assert [report.row(2.0, name)["n_failed"] for name in ALL] == [cfg.M] * 3
         if case == "too_short_raw":
             assert [report.row(2.0, name)["n_failed"] for name in ALL] == [0, cfg.M, cfg.M]
+        if case == "epoch_off_lattice":
+            assert [report.row(0.0, name)["n_failed"] for name in ALL] == [0, cfg.M, cfg.M]
 
     def test_stacks_split_across_points(self, monkeypatch):
         # 50 samples per record, 3 records per stack: stacks straddle points
