@@ -973,6 +973,11 @@ CLOCK_CALLS = {
     "residual_acf": lambda T_m, d: residual_acf(BOUNDARY_SERIES, FIXED, 10, T_m, d),
 }
 
+# three stamps off the 1 ms lattice, the second 0.3 Ts past its point
+OFF_LATTICE = RttSeries(1e-3 * np.array([0.0, 0.3, 2.0]),
+                        LINK.delta0 + np.array([1e-9, 4e-9, 2e-9]))
+OFF_LATTICE_GRIDS = SearchGrids.for_schedule(3, 1e-3)
+
 bad_t_m = st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True),
                     st.sampled_from([math.nan, math.inf]))
 boundary = settings(max_examples=40, derandomize=True, deadline=None)
@@ -992,6 +997,28 @@ class TestBoundary:
     def test_rejects_nonfinite_delta0(self, name, delta0):
         with pytest.raises(ValueError, match="delta0"):
             CLOCK_CALLS[name](T_M, delta0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: uls_estimate(RttSeries([0.0], [5e-6]), 0.0, LINK.delta0), "T_m"),
+        (lambda: pcp_estimate(OFF_LATTICE, 0.0, LINK.delta0, OFF_LATTICE_GRIDS), "T_m"),
+        (lambda: wls_estimate(OFF_LATTICE, 0.0, LINK.delta0, OFF_LATTICE_GRIDS), "T_m"),
+        (lambda: wls_estimate(OFF_LATTICE, 0.0, LINK.delta0, OFF_LATTICE_GRIDS,
+                              WeightVector(np.ones(4))), "T_m"),
+        (lambda: wls_estimate(OFF_LATTICE, T_M, LINK.delta0, OFF_LATTICE_GRIDS,
+                              WeightVector(np.ones(4))), "weight length mismatch"),
+        (lambda: wls_estimate(OFF_LATTICE, T_M, LINK.delta0, OFF_LATTICE_GRIDS,
+                              WeightVector([1.0, 0.0, 0.0])), "at least 2 kept samples"),
+        (lambda: pcp_estimate(OFF_LATTICE, T_M, LINK.delta0, OFF_LATTICE_GRIDS),
+         "uniformly spaced"),
+    ], ids=["uls-clock-before-count", "pcp-clock-before-stamps", "wls-clock-before-stamps",
+            "wls-clock-before-mask", "wls-mask-length-before-stamps",
+            "wls-kept-count-before-stamps", "pcp-stamps-before-count"])
+    def test_first_fault_wins(self, call, message):
+        # an input with two faults is refused for the first of: the clock,
+        # the WLS mask's length and kept count, the stamps, the kernel's
+        # sample count
+        with pytest.raises(ValueError, match=message):
+            call()
 
     @pytest.mark.parametrize("field", ["f_d_hat", "phi_hat", "rho_hat"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -651,12 +651,22 @@ class TestCli:
          "residuals are identically zero"),
         # f_d = f_m stops the slave clock: a ZeroDivisionError traceback
         (["simulate", "--generator", "edge", "--f-d=1e8"], "f must be positive"),
+        # an input with two faults is refused for the first of: the clock,
+        # the CLI's own sample count and span grid, the stamps, the kernel's count
+        (["estimate", "{one-row}", "--method", "wls", "--t-m", "0"], "T_m must be positive"),
+        (["estimate", "{off-lattice}", "--method", "pcp", "--t-m", "0"], "T_m must be positive"),
+        (["estimate", "{off-lattice}", "--method", "wls", "--t-m", "2"], "T_m must be positive"),
+        (["estimate", "{off-lattice}", "--method", "pcp"], "uniformly spaced"),
     ], ids=["uls-one-row", "snr-c-alone", "missing-config", "zero-residuals",
-            "edge-slave-at-0-hz"])
+            "edge-slave-at-0-hz", "wls-clock-before-count", "pcp-clock-before-stamps",
+            "wls-clock-before-stamps", "pcp-stamps-before-count"])
     def test_rejects_input_at_the_boundary(self, tmp_path, capsys, argv, message):
         files = {"{one-row}": tmp_path / "one.csv", "{constant}": tmp_path / "constant.csv",
-                 "{missing}": tmp_path / "missing.ini"}
+                 "{missing}": tmp_path / "missing.ini", "{off-lattice}": tmp_path / "off.csv"}
         write_series(str(files["{one-row}"]), RttSeries([0.0], [5e-6]))
+        # three stamps on the span's 1 ms grid, the second 0.3 Ts off it
+        write_series(str(files["{off-lattice}"]),
+                     RttSeries([0.0, 3e-4, 2e-3], [5.001e-6, 5.004e-6, 5.002e-6]))
         # a record constant at delta0 is fitted exactly by f_d = phi = rho = 0
         write_series(str(files["{constant}"]),
                      RttSeries(1e-3 * np.arange(100), np.full(100, 5e-6)))
