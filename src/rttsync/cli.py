@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _estimate(series, method: str, args) -> estimators.Estimate:
-    # the sweeps' protocol on a one-record stack, which checks no clock
+    # the clock before the span grid's own errors
     estimators._check_clock(args.t_m, args.delta0)
     t, grids, name = series.times, None, method.upper()
     if method != "uls":
@@ -86,12 +86,8 @@ def _estimate(series, method: str, args) -> estimators.Estimate:
             raise ValueError("need at least 2 samples")
         ts = float(t[-1] - t[0]) / (len(series) - 1)
         grids = estimators.SearchGrids.for_schedule(len(series), ts, f_max=args.f_max)
-    fit, keep, error = estimators._estimate_stack(
-        [name], t, series.values[None], args.t_m, args.delta0, grids, not args.no_refine,
-        method == "pcp")[name]
-    if error is not None:
-        raise error
-    return fit.estimate(name, keep)
+    return estimators._estimate_record(name, series, args.t_m, args.delta0, grids,
+                                       not args.no_refine, method == "pcp")
 
 
 def _cmd_simulate(args) -> int:

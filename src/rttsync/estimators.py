@@ -174,14 +174,6 @@ class _Fit(NamedTuple):
     width: np.ndarray | None = None  # phase segment, rad: NaN on a constant PCP row; ULS: None
     f_step: float | None = None  # the final frequency step; ULS: None
 
-    def estimate(self, method: str, keep: np.ndarray, b: int = 0) -> Estimate:
-        """Row b as the Estimate of `method`, weighted by row b of the inlier
-        mask keep (B, N); a row with no phase segment has no grid steps."""
-        width = math.nan if self.width is None else float(self.width[b])
-        steps = (None, None) if math.isnan(width) else (self.f_step, width)
-        return Estimate(float(self.f[b]), float(self.phi[b]), float(self.rho[b]), method,
-                        WeightVector(keep[b]), *steps)
-
 
 def _check_clock(T_m: float, delta0: float) -> None:
     """Reject a master period that is not positive or is above _T_M_MAX
@@ -317,9 +309,7 @@ def uls_estimate(series: RttSeries, T_m: float, delta0: float) -> Estimate:
     mean-centered phase. The T_m/2 assumption biases the range by up to
     c*T_m/4 on short or degenerate (constant) records.
     """
-    _check_clock(T_m, delta0)
-    fit = _uls_rows(series.times, series.values[None], T_m, delta0)
-    return fit.estimate("ULS", np.ones((1, len(series)), dtype=bool))
+    return _estimate_record("ULS", series, T_m, delta0)
 
 
 def _zoom_power(u, t, df, P):
@@ -430,10 +420,7 @@ def pcp_estimate(
     circle, and range from a direct least-squares fit of the leftover
     constant. A constant series gives f_d = phi = 0 and no grid steps.
     """
-    _check_clock(T_m, delta0)
-    grids.check_sampling(series.times)
-    fit = _pcp_rows(series.times, series.values[None], T_m, delta0, grids, refine)
-    return fit.estimate("PCP", np.ones((1, len(series)), dtype=bool))
+    return _estimate_record("PCP", series, T_m, delta0, grids, refine)
 
 
 def wls_cost(
@@ -551,29 +538,22 @@ def wls_estimate(
     phase-range ambiguity there. The range follows in closed form. f_hat is
     not the global minimiser of that cost (see wls_cost).
     """
-    _check_clock(T_m, delta0)
     keep = np.ones((1, len(series)), dtype=bool) if w is None else w.w[None] > 0.0
-    if keep.size != len(series):
-        raise ValueError("weight length mismatch")
-    if np.count_nonzero(keep) < 2:
-        raise ValueError("need at least 2 kept samples")
-    grids.check_sampling(series.times)
-    fit = _wls_rows(series.times, series.values[None] - delta0, keep, grids, refine, T_m)
-    return fit.estimate("WLS", keep)
+    return _estimate_record("WLS", series, T_m, delta0, grids, refine, keep=keep)
 
 
-def _estimate_stack(names, t, Y, T_m, delta0, grids, refine, preprocess):
+def _estimate_stack(names, t, Y, T_m, delta0, grids, refine, preprocess, keep=None):
     """{name: (_Fit, (B, N) inlier mask of the fit, ValueError or None)} of
-    the estimators `names` on the records Y (B, N) sampled at t, to the bit
-    as the one-record estimators give them under the outlier protocol: ULS
-    and PCP fit all samples of the records preprocess_outliers gives if
-    `preprocess`, else of the raw ones, and WLS fits the raw records with
-    the inliers of robust_weights, all in one _wls_rows call. PCP and WLS
-    first check the stamps against grids, as their public calls do. The
-    stack is screened once, when first needed, and its zero-MAD records
-    fall back under one warning. A ValueError rejects every record alike:
-    that estimator's fit comes out NaN and the error is kept. The clock is
-    not checked here."""
+    the estimators `names` on the records Y (B, N) sampled at t: the one
+    estimation protocol of the library, the CLI and sweeps. ULS and PCP fit
+    all samples of the records preprocess_outliers gives if `preprocess`,
+    else of the raw ones. WLS fits the raw records, all in one _wls_rows
+    call, with the caller's inlier mask keep (B, N) if given, else with the
+    inliers of robust_weights: the stack is screened once, when first
+    needed, and its zero-MAD records fall back under one warning. PCP and
+    WLS first check the stamps against grids. A ValueError rejects every
+    record alike: that estimator's fit comes out NaN and the error is kept.
+    The clock is not checked here."""
     @functools.cache
     def screen():  # raises below 3 samples
         return _outlier_mask(Y)
@@ -585,20 +565,43 @@ def _estimate_stack(names, t, Y, T_m, delta0, grids, refine, preprocess):
 
     out = {}
     for name in names:
-        keep = np.ones(Y.shape, dtype=bool)
+        kept = np.ones(Y.shape, dtype=bool) if name != "WLS" or keep is None else keep
         try:
             if name != "ULS":
                 grids.check_sampling(t)
             if name == "WLS":
-                mask, zero, _ = screen()
-                _warn_uniform(zero)
-                keep = ~mask
-                fit = _wls_rows(t, Y - delta0, keep, grids, refine, T_m)
+                if keep is None:
+                    mask, zero, _ = screen()
+                    _warn_uniform(zero)
+                    kept = ~mask
+                fit = _wls_rows(t, Y - delta0, kept, grids, refine, T_m)
             else:
                 data = replaced() if preprocess else Y
                 fit = (_uls_rows(t, data, T_m, delta0) if name == "ULS"
                        else _pcp_rows(t, data, T_m, delta0, grids, refine))
-            out[name] = fit, keep, None
+            out[name] = fit, kept, None
         except ValueError as exc:
-            out[name] = _Fit(*np.full((3, Y.shape[0]), math.nan)), keep, exc
+            out[name] = _Fit(*np.full((3, Y.shape[0]), math.nan)), kept, exc
     return out
+
+
+def _estimate_record(name, series, T_m, delta0, grids=None, refine=True, preprocess=False,
+                     keep=None):
+    """The Estimate of `name` on one record: the clock checked, then WLS's
+    mask keep (1, N), if given, for at least 2 kept samples, then the record
+    run as a one-row _estimate_stack, whose ValueError is raised. A row with
+    no phase segment has no grid steps."""
+    _check_clock(T_m, delta0)
+    if keep is not None:
+        if keep.size != len(series):
+            raise ValueError("weight length mismatch")
+        if np.count_nonzero(keep) < 2:
+            raise ValueError("need at least 2 kept samples")
+    fit, keep, error = _estimate_stack([name], series.times, series.values[None], T_m, delta0,
+                                       grids, refine, preprocess, keep)[name]
+    if error is not None:
+        raise error
+    width = math.nan if fit.width is None else fit.width.item()
+    steps = (None, None) if math.isnan(width) else (fit.f_step, width)
+    return Estimate(fit.f.item(), fit.phi.item(), fit.rho.item(), name, WeightVector(keep[0]),
+                    *steps)

@@ -1,13 +1,14 @@
 import ast
 import inspect
 import math
+import textwrap
 import types
 
 import numpy as np
 import pytest
 
 import rttsync
-from rttsync import cli, montecarlo
+from rttsync import cli, estimators, montecarlo
 
 # the public API: a name added here must have a caller outside the tests
 PUBLIC_NAMES = {
@@ -30,30 +31,37 @@ def test_package_exports_exactly_the_public_api():
     assert exported == PUBLIC_NAMES
 
 
-@pytest.mark.parametrize("module, allowed", [
+@pytest.mark.parametrize("source, allowed", [
     (montecarlo, {"_estimate_stack"}),
-    (cli, {"_estimate_stack", "_check_clock"}),
-], ids=["montecarlo", "cli"])
-def test_reaches_estimators_only_through_estimate_stack(module, allowed):
-    # the outlier screen and the estimator dispatch of a sweep and of the
-    # command line live in estimators, stated once; the CLI checks the clock
-    # itself, as _estimate_stack does not
-    source = inspect.getsource(module)
-    tree = ast.parse(source)
-    private = {
+    (cli, {"_estimate_record", "_check_clock"}),
+    (estimators.uls_estimate, {"_estimate_record"}),
+    (estimators.pcp_estimate, {"_estimate_record"}),
+    (estimators.wls_estimate, {"_estimate_record"}),
+], ids=["montecarlo", "cli", "uls_estimate", "pcp_estimate", "wls_estimate"])
+def test_reaches_estimators_only_through_estimate_stack(source, allowed):
+    # the outlier screen, the stamp check, the row kernels and the Estimate
+    # build of a sweep, of the command line and of the public one-record
+    # estimators live in estimators' _estimate_stack and _estimate_record,
+    # stated once; the CLI checks the clock before it builds its span grid
+    text = textwrap.dedent(inspect.getsource(source))
+    tree = ast.parse(text)
+    names = {
         node.attr for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-        and node.value.id == "estimators" and node.attr.startswith("_")
+        and node.value.id == "estimators"
     }
-    private |= {
+    names |= {
         alias.name for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "estimators"
-        for alias in node.names if alias.name.startswith("_")
+        for alias in node.names
     }
-    assert private == allowed
-    protocol = ("robust_weights", "preprocess_outliers", "uls_estimate", "pcp_estimate",
-                "wls_estimate")
-    assert [name for name in protocol if name in source] == []
+    if not inspect.ismodule(source):  # a function of estimators names them bare
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert {name for name in names if name.startswith("_") and hasattr(estimators, name)} \
+        == allowed
+    protocol = {"robust_weights", "preprocess_outliers", "uls_estimate", "pcp_estimate",
+                "wls_estimate", "check_sampling"} - {source.__name__}
+    assert [name for name in sorted(protocol) if name in text] == []
 
 
 @pytest.mark.parametrize("build, message", [
