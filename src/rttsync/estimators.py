@@ -52,18 +52,20 @@ def wrap_to_pm_pi(x):
 @dataclass(frozen=True)
 class WeightVector:
     """0/1 inlier mask: 1 keeps a sample in the fit, 0 drops it as an
-    outlier; at least one sample must be kept."""
+    outlier; at least one sample must be kept. A boolean mask is 0/1 by
+    type, so only other masks have their values checked."""
 
     w: np.ndarray
 
     def __post_init__(self):
+        binary = np.asarray(self.w).dtype == bool
         w = np.asarray(self.w, dtype=float)
         object.__setattr__(self, "w", w)
         if w.ndim != 1:
             raise ValueError("weights must be 1-D")
-        if not np.all((w == 0.0) | (w == 1.0)):
+        if not (binary or np.all((w == 0.0) | (w == 1.0))):
             raise ValueError("weights must be 0 or 1")
-        if not np.any(w > 0.0):
+        if not w.any():
             raise ValueError("all weights are zero")
 
     @property
@@ -334,14 +336,18 @@ def _fft_periodogram(y, t, grids, positive=False):
     share. Each grid f is a bin k/(L*Ts), so the sum is exp(-2j pi f t_0)
     times bin k mod L: exact on the Ts lattice however long the record;
     stamps off it are rounded (the refinement sums over the exact ones), and
-    samples that round or fold into one bin add up there."""
+    samples that round or fold into one bin add up there. The grid's n <= L/2
+    bins each side are two slices of the FFT, X[L - n:] then X[:n + 1], and
+    the real rows of PCP take the positive ones from a real FFT."""
     B, L = y.shape[0], grids.n_fft
     m = np.rint((t - t[0]) / grids.Ts).astype(np.intp) % L
     x = np.zeros((B, L), dtype=y.dtype)
     np.add.at(x.reshape(-1), (L * np.arange(B)[:, None] + m).reshape(-1), y.reshape(-1))
-    n_half = grids.F.size // 2
-    k = np.arange(1 if positive else -n_half, n_half + 1)
-    return np.abs(np.fft.fft(x, axis=1)[:, k % L]) ** 2
+    n = grids.F.size // 2
+    if positive:
+        return np.abs(np.fft.rfft(x, axis=1)[:, 1:n + 1]) ** 2
+    X = np.fft.fft(x, axis=1)
+    return np.abs(np.concatenate([X[:, L - n:], X[:, :n + 1]], axis=1)) ** 2
 
 
 def _peak_frequency(y, t, grids, refine, positive=False):

@@ -174,6 +174,15 @@ class TestWeightVector:
         w = WeightVector(np.array([1.0, 0.0, 1.0, 0.0]))
         assert w.n_used == 2 and w.n_downweighted == 2
 
+    def test_boolean_mask(self):
+        # 0/1 by type: taken as float, and still held to 1-D and one kept sample
+        w = WeightVector(np.array([True, False, True]))
+        assert w.w.dtype == float and w.w.tolist() == [1.0, 0.0, 1.0]
+        with pytest.raises(ValueError, match="all weights are zero"):
+            WeightVector(np.zeros(3, dtype=bool))
+        with pytest.raises(ValueError, match="1-D"):
+            WeightVector(np.ones((2, 2), dtype=bool))
+
 
 class TestSearchGrids:
     def test_default_spacing_and_extent(self):
