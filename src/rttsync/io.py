@@ -150,6 +150,7 @@ _CONFIG_KEYS = {
                      lambda s: tuple(float(v) for v in s.replace(",", " ").split())),
     "preprocess": ("config", "preprocess", _boolean), "refine": ("config", "refine", _boolean),
 }
+_FIELD_KEYS = {name: key for key, (_, name, _) in _CONFIG_KEYS.items()}
 
 
 def read_experiment_config(path: str) -> ExperimentConfig:
@@ -162,7 +163,8 @@ def read_experiment_config(path: str) -> ExperimentConfig:
     outlier_hi (s); m (trials per point), seed, estimators (comma list of
     uls, pcp, wls), sweep_axis, sweep_values (comma or space list),
     preprocess and refine (booleans). An unknown or repeated key, or a
-    malformed value, is a ValueError.
+    malformed value, is a ValueError. Each names the file, and a value that
+    a dataclass refuses names the key too where that key alone set it.
     """
     parser = configparser.ConfigParser()
     try:
@@ -192,13 +194,27 @@ def read_experiment_config(path: str) -> ExperimentConfig:
             raise ValueError(f"{path}: missing key {key!r}")
     if "snr" in given and "noise" in given:
         raise ValueError(f"{path}: give snr_c_db/snr_j_db or sigma_n/sigma_v, not both")
-    clock, snr = ClockTruth(**given["clock"]), given.get("snr")
-    return ExperimentConfig(
+
+    def build(cls, **kwargs):
+        # a refusal that names one argument, first, blames the key that set
+        # it, if the file gave that key
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            words = str(exc).split()
+            named = [word for word in words if word in kwargs]
+            key = _FIELD_KEYS.get(words[0]) if named and named == words[:1] else None
+            where = f"{path}: bad value {sec[key]!r} for key {key!r}" if key in sec else path
+            raise ValueError(f"{where}: {exc}") from None
+
+    clock, snr = build(ClockTruth, **given["clock"]), given.get("snr")
+    return build(
+        ExperimentConfig,
         clock=clock,
-        link=LinkTruth(**given["link"]),
-        schedule=SampleSchedule(**{"t0": 0.0, **given["schedule"]}),
-        noise=(NoiseSpec.from_snr(snr["snr_c_db"], snr["snr_j_db"], clock.T_m) if snr
-               else NoiseSpec(**given.get("noise", {}))),
-        outliers=OutlierSpec(**given["outliers"]) if "outliers" in given else None,
+        link=build(LinkTruth, **given["link"]),
+        schedule=build(SampleSchedule, **{"t0": 0.0, **given["schedule"]}),
+        noise=(build(NoiseSpec.from_snr, **snr, T_m=clock.T_m) if snr
+               else build(NoiseSpec, **given.get("noise", {}))),
+        outliers=build(OutlierSpec, **given["outliers"]) if "outliers" in given else None,
         **given.get("config", {}),
     )

@@ -585,10 +585,20 @@ class TestCli:
         ("[experiment]\n" + _CONFIG_BODY + "outlier_fraction = 0.1\noutlier_hi = inf\n",
          "lo and hi must be finite"),
         # numpy's bare "expected non-negative integer"
-        ("[experiment]\n" + _CONFIG_BODY + "seed = -1\n", "seed must be nonnegative"),
+        ("[experiment]\n" + _CONFIG_BODY + "seed = -1\n",
+         "exp.ini: bad value '-1' for key 'seed': seed must be nonnegative"),
+        # a value the dataclasses refuse named neither the file nor the key
+        ("[experiment]\n" + _CONFIG_BODY.replace("m = 2", "m = 0"),
+         "exp.ini: bad value '0' for key 'm': M must be at least 1"),
+        ("[experiment]\n" + _CONFIG_BODY.replace("rho = 2.0", "rho = -2.0"),
+         "exp.ini: bad value '-2.0' for key 'rho': rho must be nonnegative"),
+        # two keys set the bounds: the file alone is named
+        ("[experiment]\n" + _CONFIG_BODY + "outlier_fraction = 0.1\noutlier_lo = 5e-6\n"
+         "outlier_hi = 4e-6\n", "exp.ini: lo must be below hi"),
     ], ids=["no-section", "repeated-key", "unknown-key", "snr-and-sigma-n", "snr-and-sigma-v",
             "bounds-without-fraction", "malformed-int", "malformed-boolean", "empty-sweep-values",
-            "empty-estimators", "infinite-outlier-bound", "negative-seed"])
+            "empty-estimators", "infinite-outlier-bound", "negative-seed", "zero-trials",
+            "negative-range", "bounds-out-of-order"])
     def test_sweep_rejects_bad_config_file(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "exp.ini"
         cfg_path.write_text(text)
