@@ -28,7 +28,7 @@ schedule = SampleSchedule(0.0, 1e-3, 200)
 noise = NoiseSpec.from_snr(30.0, 30.0, clock.T_m)
 
 series = generate_series(schedule, clock, link, noise, seed=11)
-grids = SearchGrids.for_schedule(schedule.N, schedule.Ts)
+grids = SearchGrids(schedule.N, schedule.Ts)
 print(f"truth: f_d = {clock.f_d} Hz, phi = {clock.phi} rad, rho = {link.rho} m")
 print(f"search grid: {grids.F.size} frequencies (step {grids.f_step} Hz)\n")
 

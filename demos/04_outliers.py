@@ -41,7 +41,7 @@ hits = np.intersect1d(flagged, idx).size
 print(f"robust weights flagged {flagged.size} samples "
       f"({hits}/{idx.size} true outliers caught)")
 
-grids = SearchGrids.for_schedule(schedule.N, schedule.Ts)
+grids = SearchGrids(schedule.N, schedule.Ts)
 naive = uls_estimate(dirty, clock.T_m, link.delta0)
 filtered = uls_estimate(preprocess_outliers(dirty), clock.T_m, link.delta0)
 robust = wls_estimate(dirty, clock.T_m, link.delta0, grids, w)

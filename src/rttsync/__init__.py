@@ -30,7 +30,6 @@ from .estimators import (
     robust_weights,
     uls_estimate,
     unwrap,
-    wls_cost,
     wls_estimate,
 )
 from .montecarlo import (

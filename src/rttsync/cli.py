@@ -85,7 +85,7 @@ def _estimate(series, method: str, args) -> estimators.Estimate:
         if len(series) < 2:
             raise ValueError("need at least 2 samples")
         ts = float(t[-1] - t[0]) / (len(series) - 1)
-        grids = estimators.SearchGrids.for_schedule(len(series), ts, f_max=args.f_max)
+        grids = estimators.SearchGrids(len(series), ts, args.f_max)
     return estimators._estimate_record(name, series, args.t_m, args.delta0, grids,
                                        not args.no_refine, method == "pcp")
 

@@ -79,22 +79,26 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class SearchGrids:
-    """Frequency grid of the search estimators, F = k/(n_fft*Ts) for |k| <= n:
-    the bins of a length-n_fft FFT up to the last at or below f_max, for
-    records sampled every Ts."""
+    """Frequency grid of the search estimators for N samples every Ts: the
+    bins F = k/(n_fft*Ts) of a length-n_fft = 4N FFT, |k| <= n, up to the
+    last at or below f_max, by default the Nyquist rate 1/(2Ts)."""
 
-    n_fft: int
-    f_max: float
+    N: int
     Ts: float
+    f_max: float | None = None
+    n_fft: int = field(init=False, repr=False, compare=False)
     F: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.Ts) and self.Ts > 0.0):
             raise ValueError("Ts must be positive and finite")
+        if self.f_max is None:
+            object.__setattr__(self, "f_max", 1.0 / (2.0 * self.Ts))
         if not self.f_max <= 1.0 / (2.0 * self.Ts):
             raise ValueError("f_max exceeds the schedule's Nyquist frequency")
-        if not (isinstance(self.n_fft, (int, np.integer)) and self.n_fft > 0):
-            raise ValueError("n_fft must be a positive integer")
+        if not (isinstance(self.N, (int, np.integer)) and self.N > 0):
+            raise ValueError("N must be a positive integer")
+        object.__setattr__(self, "n_fft", 4 * self.N)
         df = 1.0 / (self.n_fft * self.Ts)
         if not self.f_max >= df:
             raise ValueError("f_max is below one grid step")
@@ -105,12 +109,6 @@ class SearchGrids:
     def f_step(self) -> float:
         return float(self.F[1] - self.F[0])
 
-    @classmethod
-    def for_schedule(cls, N: int, Ts: float, f_max: float | None = None) -> "SearchGrids":
-        """Default grid: frequency spacing a quarter of the Fourier
-        resolution 1/(N*Ts), f_max at the Nyquist rate of the schedule."""
-        return cls(4 * N, 1.0 / (2.0 * Ts) if f_max is None else f_max, Ts)
-
     def check_sampling(self, t: np.ndarray) -> None:
         """Reject stamps off the lattice t[0] + k*Ts onto which the FFT
         rounds them: each must lie within 1e-3*Ts of a lattice point, as a
@@ -119,8 +117,8 @@ class SearchGrids:
         sampled every d*Ts, more coarsely than Ts, and f and f + 1/(d*Ts),
         both within f_max, fit it equally. A record may miss samples, as a
         zero weight deletes one; the grid should then resolve its span, for
-        which for_schedule(N) of N samples on consecutive points is too
-        coarse once long gaps stretch it past about n_fft."""
+        which SearchGrids(N) of its N samples is too coarse once long gaps
+        stretch the span past about n_fft lattice points."""
         if t.size < 2:
             return
         k = (t - t[0]) / self.Ts
@@ -154,17 +152,6 @@ class Estimate:
 
     def __post_init__(self):
         _require_finite("estimated parameters", self.f_d_hat, self.phi_hat, self.rho_hat)
-
-    def to_record(self) -> dict:
-        w = self.weights
-        return {
-            "method": self.method,
-            "f_d_hat_hz": self.f_d_hat,
-            "phi_hat_rad": self.phi_hat,
-            "rho_hat_m": self.rho_hat,
-            "n_used": w.n_used if w is not None else 0,
-            "n_downweighted": w.n_downweighted if w is not None else 0,
-        }
 
 
 class _Fit(NamedTuple):
@@ -429,22 +416,6 @@ def pcp_estimate(
     return _estimate_record("PCP", series, T_m, delta0, grids, refine)
 
 
-def wls_cost(
-    f_d: float,
-    phi: float,
-    series: RttSeries,
-    T_m: float,
-    delta0: float,
-    w: WeightVector,
-) -> float:
-    """Concentrated weighted squared-error cost with the range profiled out."""
-    _check_clock(T_m, delta0)
-    r = series.values - sawtooth_template(series.times, f_d, phi, T_m) - delta0
-    wv = w.w
-    s = float(np.sum(wv))
-    return float(np.sum(wv * r * r) - np.dot(wv, r) ** 2 / s)
-
-
 def _wrap_segments(F, t):
     """Per row b and frequency F[b, r], the sorted wrap phases
     c_i = 1 - frac(F[b, r]*t_i) in cycles of stamps t (N,) or (B, N), their
@@ -542,7 +513,7 @@ def wls_estimate(
     wraps; its exact minimum over the phase circle gives phi_hat, the
     minimising segment's midpoint, and phi_grid_step, its width: the exact
     phase-range ambiguity there. The range follows in closed form. f_hat is
-    not the global minimiser of that cost (see wls_cost).
+    not the global minimiser of that cost.
     """
     keep = np.ones((1, len(series)), dtype=bool) if w is None else w.w[None] > 0.0
     return _estimate_record("WLS", series, T_m, delta0, grids, refine, keep=keep)

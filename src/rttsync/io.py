@@ -24,6 +24,7 @@ from .model import ClockTruth, LinkTruth, NoiseSpec, RttSeries, SampleSchedule
 from .montecarlo import ExperimentConfig, OutlierSpec, SweepReport
 
 SERIES_HEADER = ("t_seconds", "y_seconds")
+ESTIMATE_HEADER = ("method", "f_d_hat_hz", "phi_hat_rad", "rho_hat_m", "n_used", "n_downweighted")
 
 _CURVE_FIELDS = tuple(f.name for f in dataclasses.fields(CalibrationCurve))
 
@@ -87,8 +88,10 @@ def read_series(path: str) -> RttSeries:
 
 
 def estimate_to_csv(estimate: Estimate) -> str:
-    rec = estimate.to_record()
-    return _csv_text(rec.keys(), [rec.values()])
+    w = estimate.weights
+    counts = (w.n_used, w.n_downweighted) if w is not None else (0, 0)
+    return _csv_text(ESTIMATE_HEADER, [(estimate.method, estimate.f_d_hat, estimate.phi_hat,
+                                        estimate.rho_hat, *counts)])
 
 
 def report_to_csv(report: SweepReport) -> str:

@@ -92,7 +92,8 @@ class LinkTruth:
 
 @dataclass(frozen=True)
 class SampleSchedule:
-    """Uniform measurement schedule t_i = t0 + i*Ts for i = 0..N-1."""
+    """Uniform measurement schedule t_i = t0 + i*Ts for i = 0..N-1, whose
+    float stamps stay distinct (at t0 = 1e12 s, a 1 us step rounds away)."""
 
     t0: float
     Ts: float
@@ -107,6 +108,8 @@ class SampleSchedule:
         object.__setattr__(self, "N", int(self.N))
         if self.N < 2:
             raise ValueError("N must be at least 2")
+        if not np.all(np.diff(self.times()) > 0.0):
+            raise ValueError("times must be strictly increasing")
 
     def times(self) -> np.ndarray:
         return self.t0 + self.Ts * np.arange(self.N)

@@ -114,9 +114,6 @@ class SweepReport:
                 return r
         raise KeyError((sweep_value, estimator))
 
-    def rmse(self, sweep_value: float, estimator: str, param: str) -> float:
-        return self.row(sweep_value, estimator)[f"rmse_{param}"]
-
 
 def _outlier_draws(n: int, spec: OutlierSpec, seed):
     """Sorted positions of round(fraction*n) outliers among n samples, and
@@ -264,7 +261,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     rows = []
     for schedule, group in itertools.groupby(enumerate(cfg.points), key=lambda p: p[1][1]):
         group = list(group)
-        grids = SearchGrids.for_schedule(schedule.N, schedule.Ts)
+        grids = SearchGrids(schedule.N, schedule.Ts)
         trials = [(idx, point, it) for idx, point in group for it in range(cfg.M)]
         size = max(1, _STACK_SAMPLES // schedule.N)
         stacks = [

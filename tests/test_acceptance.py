@@ -24,7 +24,6 @@ from rttsync.estimators import (
     phase_error,
     sawtooth_template,
     uls_estimate,
-    wls_cost,
     wls_estimate,
 )
 from rttsync.model import (
@@ -38,6 +37,8 @@ from rttsync.model import (
     generate_series,
 )
 from rttsync.montecarlo import ExperimentConfig, OutlierSpec, run_sweep
+
+from oracles import wls_cost
 
 TWO_PI = 2.0 * math.pi
 T_M = 1e-8
@@ -145,11 +146,11 @@ def test_criterion_4_outlier_robustness_and_breakdown():
         preprocess=False,
     )
     rep = run_sweep(cfg)
-    wls0 = rep.rmse(0.0, "WLS", "rho_m")
-    wls3 = rep.rmse(0.3, "WLS", "rho_m")
-    wls5 = rep.rmse(0.5, "WLS", "rho_m")
-    uls0 = rep.rmse(0.0, "ULS", "rho_m")
-    uls1 = rep.rmse(0.1, "ULS", "rho_m")
+    wls0 = rep.row(0.0, "WLS")["rmse_rho_m"]
+    wls3 = rep.row(0.3, "WLS")["rmse_rho_m"]
+    wls5 = rep.row(0.5, "WLS")["rmse_rho_m"]
+    uls0 = rep.row(0.0, "ULS")["rmse_rho_m"]
+    uls1 = rep.row(0.1, "ULS")["rmse_rho_m"]
     ok = wls3 <= 2.0 * wls0 and wls5 >= 10.0 * wls0 and uls1 >= 10.0 * uls0
     assert report(
         4,
@@ -177,11 +178,11 @@ def test_criterion_5_fd_sensitivity():
         sweep_values=values,
     )
     rep = run_sweep(cfg)
-    wls = [rep.rmse(v, "WLS", "fd_hz") for v in values]
+    wls = [rep.row(v, "WLS")["rmse_fd_hz"] for v in values]
     ratio = max(wls) / min(wls)
 
     def mag(est, m):
-        return 0.5 * (rep.rmse(-m, est, "fd_hz") + rep.rmse(m, est, "fd_hz"))
+        return 0.5 * (rep.row(-m, est)["rmse_fd_hz"] + rep.row(m, est)["rmse_fd_hz"])
 
     pcp_grows = mag("PCP", 200.0) > mag("PCP", 32.0)
     uls_grows = mag("ULS", 200.0) > mag("ULS", 32.0)
@@ -212,9 +213,9 @@ def test_criterion_5_wls_and_uls_conditions():
         sweep_values=values,
     )
     rep = run_sweep(cfg)
-    wls = [rep.rmse(v, "WLS", "fd_hz") for v in values]
+    wls = [rep.row(v, "WLS")["rmse_fd_hz"] for v in values]
     ratio = max(wls) / min(wls)
-    uls = {m: 0.5 * (rep.rmse(-m, "ULS", "fd_hz") + rep.rmse(m, "ULS", "fd_hz"))
+    uls = {m: 0.5 * (rep.row(-m, "ULS")["rmse_fd_hz"] + rep.row(m, "ULS")["rmse_fd_hz"])
            for m in (32.0, 200.0)}
     ok = ratio < 3.0 and uls[200.0] > uls[32.0]
     assert report(
@@ -228,7 +229,7 @@ def test_criterion_6_noiseless_exactness():
     # dense lattice and all three parameters are well identified
     clock = ClockTruth(1e8, -33.0, 2.0)
     series = generate_series(SampleSchedule(0.0, 1e-3, 1000), clock, LINK)
-    grids = SearchGrids.for_schedule(1000, 1e-3)
+    grids = SearchGrids(1000, 1e-3)
     phi_tol = TWO_PI / 512  # phase identifiability, not refinement, limits
     eps = 1e-9
 

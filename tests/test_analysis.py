@@ -31,7 +31,7 @@ def noisy_series(seed=0, N=200, f_d=-32.0):
 class TestResidualAcf:
     def test_white_residuals_pass(self):
         series = noisy_series(seed=1)
-        g = SearchGrids.for_schedule(N=200, Ts=1e-3)
+        g = SearchGrids(N=200, Ts=1e-3)
         est = wls_estimate(series, T_M, LINK.delta0, g)
         rep = residual_acf(series, est, max_lag=50, T_m=T_M, delta0=LINK.delta0)
         assert rep.passes

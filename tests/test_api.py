@@ -17,7 +17,7 @@ PUBLIC_NAMES = {
     "ExchangeConfig", "Oscillator", "equivalent_clock_truth", "simulate_campaign",
     "Estimate", "SearchGrids", "WeightVector", "pcp_estimate", "phase_error",
     "phase_error_seconds", "preprocess_outliers", "residuals", "robust_weights", "uls_estimate",
-    "unwrap", "wls_cost", "wls_estimate",
+    "unwrap", "wls_estimate",
     "ExperimentConfig", "OutlierSpec", "SweepReport", "run_sweep",
     "AcfReport", "CalibrationCurve", "apply_calibration", "calibrate_range", "residual_acf",
 }
@@ -69,6 +69,9 @@ def test_reaches_estimators_only_through_estimate_stack(source, allowed):
     (lambda: rttsync.LinkTruth(rho=-1.0, delta0=5e-6), "rho must be nonnegative"),
     (lambda: rttsync.LinkTruth(rho=2.0, delta0=0.0), "delta0 must be positive"),
     (lambda: rttsync.SampleSchedule(0.0, 0.0, 10), "Ts must be positive"),
+    # at 1e12 s one ulp is 122 us: these 100 stamps hold 2 values, which a
+    # sweep fitted as 100 distinct samples
+    (lambda: rttsync.SampleSchedule(1e12, 1e-6, 100), "times must be strictly increasing"),
     (lambda: rttsync.NoiseSpec(sigma_v=-0.1), "must be nonnegative"),
     (lambda: rttsync.RttSeries(np.zeros((2, 2)), np.zeros((2, 2))), "must be 1-D"),
     (lambda: rttsync.RttSeries([0.0, 1.0], [5e-6]), "equal length"),
@@ -86,7 +89,8 @@ def test_reaches_estimators_only_through_estimate_stack(source, allowed):
         rttsync.ClockTruth(1e8, -32.0), rttsync.LinkTruth(2.0, 5e-6),
         rttsync.SampleSchedule(0.0, 1e-3, 30), rttsync.NoiseSpec(), seed=-1),
      "seed must be nonnegative"),
-], ids=["clock-f-m", "link-rho", "link-delta0", "schedule-ts", "noise-sigma", "series-2d",
+], ids=["clock-f-m", "link-rho", "link-delta0", "schedule-ts", "schedule-collapse",
+        "noise-sigma", "series-2d",
         "series-lengths", "weights-2d", "oscillator-f0", "oscillator-alpha", "exchange-rho",
         "unwrap-empty", "calibration-shape", "calibration-non-finite", "oscillator-f",
         "outlier-hi-infinite", "outlier-lo-infinite", "config-seed"])

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from fractions import Fraction
 
@@ -25,11 +27,11 @@ from rttsync.estimators import (
     robust_weights,
     uls_estimate,
     unwrap,
-    wls_cost,
     wls_estimate,
     wrap_to_2pi,
     wrap_to_pm_pi,
 )
+from rttsync.io import estimate_to_csv
 from rttsync.model import (
     SPEED_OF_LIGHT,
     ClockTruth,
@@ -40,6 +42,8 @@ from rttsync.model import (
     generate_series,
     sawtooth_template,
 )
+
+from oracles import wls_cost
 
 TWO_PI = 2.0 * math.pi
 T_M = 1e-8
@@ -186,7 +190,7 @@ class TestWeightVector:
 
 class TestSearchGrids:
     def test_default_spacing_and_extent(self):
-        g = SearchGrids.for_schedule(N=100, Ts=1e-3)
+        g = SearchGrids(N=100, Ts=1e-3)
         assert g.n_fft == 400 and g.F.size == 401
         assert g.f_step == pytest.approx(2.5, rel=1e-12)  # 1/(4*N*Ts)
         assert g.f_max == pytest.approx(500.0)
@@ -194,29 +198,38 @@ class TestSearchGrids:
 
     def test_rejects_supernyquist_fmax(self):
         with pytest.raises(ValueError):
-            SearchGrids.for_schedule(N=100, Ts=1e-3, f_max=600.0)
+            SearchGrids(N=100, Ts=1e-3, f_max=600.0)
 
     def test_carries_its_sampling_interval(self):
-        assert SearchGrids.for_schedule(N=100, Ts=2e-3).Ts == 2e-3
+        assert SearchGrids(N=100, Ts=2e-3).Ts == 2e-3
+
+    def test_n_fft_is_derived(self):
+        # the FFT length is 4N, read-only: N is the one size a caller sets
+        for N in (1, 60, 1000):
+            assert SearchGrids(N, 1e-3).n_fft == 4 * N
+        with pytest.raises(TypeError):
+            SearchGrids(n_fft=400, Ts=1e-3)
+        with pytest.raises(AttributeError):
+            SearchGrids(100, 1e-3).n_fft = 800
 
     @pytest.mark.parametrize(
-        "n_fft, f_max, Ts",
-        [(400, 125.0, 0.0), (400, 125.0, math.nan), (400, 600.0, 1e-3),
-         (400, math.nan, 1e-3), (400, 2.0, 1e-3), (5, 100.0, 1e-3),
-         (0, 125.0, 1e-3), (400.0, 125.0, 1e-3)],
+        "N, Ts, f_max",
+        [(100, 0.0, 125.0), (100, math.nan, 125.0), (100, 1e-3, 600.0),
+         (100, 1e-3, math.nan), (100, 1e-3, 2.0), (1, 1e-3, 100.0),
+         (0, 1e-3, 125.0), (100.0, 1e-3, 125.0)],
         ids=["ts-zero", "ts-nan", "past-nyquist", "f-max-nan", "below-one-step",
-             "step-past-f-max", "n-fft-zero", "n-fft-float"],
+             "step-past-f-max", "n-zero", "n-float"],
     )
-    def test_rejects_bad_grids(self, n_fft, f_max, Ts):
+    def test_rejects_bad_grids(self, N, Ts, f_max):
         with pytest.raises(ValueError):
-            SearchGrids(n_fft, f_max, Ts)
+            SearchGrids(N, Ts, f_max)
 
     # at N=110, f_max/df is 219.99999999999997: the Nyquist edge stays
     @pytest.mark.parametrize(
         "N, f_max, last", [(1000, 333.4, 333.25), (333, 50.0, 66 / 1.332), (110, 500.0, 500.0)]
     )
     def test_grid_ends_at_or_below_fmax(self, N, f_max, last):
-        g = SearchGrids.for_schedule(N, 1e-3, f_max=f_max)
+        g = SearchGrids(N, 1e-3, f_max=f_max)
         assert g.F[-1] == pytest.approx(last, rel=1e-12)
 
     @pytest.mark.parametrize("refine", [False, True])
@@ -226,7 +239,7 @@ class TestSearchGrids:
         # a tone just past an f_max that falls between grid steps pulls the
         # peak to the grid edge; neither the edge nor a refinement may pass it
         series = noisy_record(3, f_d, 333)
-        g = SearchGrids.for_schedule(333, 1e-3, f_max=50.0)
+        g = SearchGrids(333, 1e-3, f_max=50.0)
         est = method(series, T_M, LINK.delta0, g, refine=refine)
         assert abs(est.f_d_hat) <= 50.0
 
@@ -237,13 +250,13 @@ class TestSearchGrids:
         # -4999.75 Hz, next to the grid edge, for this -32 Hz record
         series = noisy_record(0, -32.0, 200)
         with pytest.raises(ValueError, match="coarsely"):
-            method(series, T_M, LINK.delta0, SearchGrids.for_schedule(200, 1e-4))
+            method(series, T_M, LINK.delta0, SearchGrids(200, 1e-4))
         # every other sample of 400: on the 1 ms lattice and within the
         # grid's n_fft, but f and f + 500 Hz fit it equally
         series = noisy_record(4, -32.0, 400)
         halved = RttSeries(series.times[::2], series.values[::2])
         with pytest.raises(ValueError, match="coarsely"):
-            method(halved, T_M, LINK.delta0, SearchGrids.for_schedule(200, 1e-3))
+            method(halved, T_M, LINK.delta0, SearchGrids(200, 1e-3))
 
     @pytest.mark.parametrize("method", [pcp_estimate, wls_estimate])
     @pytest.mark.parametrize("stamps", ["jittered", "drifting"])
@@ -263,7 +276,7 @@ class TestSearchGrids:
         v, n = rng.normal(0.0, [[noise.sigma_v], [noise.sigma_n]], (2, N))
         y = sawtooth_template(t, clock.f_d, clock.phi, T_M, v) + LINK.delta0 + LINK.flight_time + n
         with pytest.raises(ValueError, match="uniformly spaced"):
-            method(RttSeries(t, y), T_M, LINK.delta0, SearchGrids.for_schedule(N, 1e-3))
+            method(RttSeries(t, y), T_M, LINK.delta0, SearchGrids(N, 1e-3))
 
     @pytest.mark.parametrize("method", [pcp_estimate, wls_estimate])
     @pytest.mark.parametrize("seed", range(4))
@@ -278,7 +291,7 @@ class TestSearchGrids:
             keep[start:start + rng.integers(20, 60)] = False
         keep[[0, -1]] = True
         record = RttSeries(series.times[keep], series.values[keep])
-        est = method(record, T_M, LINK.delta0, SearchGrids.for_schedule(len(record), 1e-3))
+        est = method(record, T_M, LINK.delta0, SearchGrids(len(record), 1e-3))
         assert est.f_d_hat == pytest.approx(f_d, abs=0.5)
 
     @pytest.mark.parametrize("method", [pcp_estimate, wls_estimate])
@@ -286,7 +299,7 @@ class TestSearchGrids:
     def test_edge_records_pass_the_lattice_check(self, method, N):
         # master-edge snapping moves each stamp by less than one T_m
         series = edge_record(N)
-        grids = SearchGrids.for_schedule(N, float(series.times[1] - series.times[0]))
+        grids = SearchGrids(N, float(series.times[1] - series.times[0]))
         est = method(series, T_M, 5e-6, grids)
         assert est.f_d_hat == pytest.approx(-32.0, abs=0.5)
 
@@ -339,7 +352,7 @@ def kernel_record(kind, seed):
         t = series.times
         y0 = series.values - series.values.mean()
         z = np.exp((2j * math.pi / T_M) * (series.values - LINK.delta0))
-        return t, SearchGrids.for_schedule(t.size, float(t[1] - t[0])), (z, y0)
+        return t, SearchGrids(t.size, float(t[1] - t[0])), (z, y0)
     t, grids, ((z, _, _), (y0, _, _)) = lattice_case(seed, 200, 0.37, 0.1, None)
     if kind == "off-lattice":
         t = t + 1e-3 * np.random.default_rng(seed).uniform(0.0, 0.3, t.size)
@@ -374,7 +387,7 @@ class TestPeriodogram:
     def test_peak_at_tone(self):
         t = 1e-3 * np.arange(200)
         y = np.sin(TWO_PI * 60.0 * t)
-        g = SearchGrids.for_schedule(N=200, Ts=1e-3)
+        g = SearchGrids(N=200, Ts=1e-3)
         f_grid = g.F[g.F > 0.0]
         power = zoom_power(y, t, f_grid[0], g.f_step, f_grid.size)
         assert f_grid[np.argmax(power)] == pytest.approx(60.0, abs=g.f_step)
@@ -391,7 +404,7 @@ def lattice_case(seed, N, t0, drop, f_max, n_grid=None):
     series = generate_series(SampleSchedule(t0, 1e-3, N), clock, LINK, noise, seed=rng)
     keep = rng.random(N) >= drop
     t, y = series.times[keep], series.values[keep]
-    grids = SearchGrids.for_schedule(n_grid or N, 1e-3, f_max=f_max)
+    grids = SearchGrids(n_grid or N, 1e-3, f_max=f_max)
     z = np.exp((2j * math.pi / T_M) * (y - LINK.delta0))
     return t, grids, ((z, grids.F, False), (y - y.mean(), grids.F[grids.F > 0.0], True))
 
@@ -433,7 +446,7 @@ def rounded_record(kind, seed):
         v, n = rng.normal(0.0, [[noise.sigma_v], [noise.sigma_n]], (2, N))
         y = sawtooth_template(t, clock.f_d, clock.phi, T_M, v) + LINK.delta0 + LINK.flight_time + n
     z = np.exp((2j * math.pi / T_M) * (y - LINK.delta0))
-    return t, SearchGrids.for_schedule(N, ts), (z, y - y.mean())
+    return t, SearchGrids(N, ts), (z, y - y.mean())
 
 
 class TestFftPeriodogram:
@@ -461,7 +474,7 @@ class TestFftPeriodogram:
         for N in (64, 110):
             t = 1e-3 * np.arange(N)
             z = np.exp(1j * (math.pi * np.arange(N) + 0.3))
-            grids = SearchGrids.for_schedule(N, 1e-3)
+            grids = SearchGrids(N, 1e-3)
             f, f_step = _peak_frequency(z[None], t, grids, refine=False)
             assert (f.tolist(), f_step) == ([-500.0], grids.f_step)
 
@@ -471,7 +484,7 @@ class TestFftPeriodogram:
         series = edge_record()
         gaps = np.diff(series.times)
         assert 1e-6 < np.ptp(gaps) / gaps[0] < 1e-3
-        grids = SearchGrids.for_schedule(200, float(gaps[0]))
+        grids = SearchGrids(200, float(gaps[0]))
         est = wls_estimate(series, T_M, 5e-6, grids, robust_weights(series))
         assert est.f_d_hat == pytest.approx(-32.0, abs=0.05)
         assert est.rho_hat == pytest.approx(2.0, abs=0.02)
@@ -503,7 +516,7 @@ def refinement_stack(seed, kind):
         t = 1e-3 * (np.arange(64) + rng.uniform(-0.49, 0.49, 64))
         z = np.exp(1j * rng.uniform(0.0, TWO_PI, (16, 64)))
         y = rng.standard_normal((16, 64))
-        return t, z, y - y.mean(axis=1, keepdims=True), SearchGrids.for_schedule(64, 1e-3)
+        return t, z, y - y.mean(axis=1, keepdims=True), SearchGrids(64, 1e-3)
     noise = NoiseSpec.from_snr(20.0, 20.0, T_M)
     n = 230 if kind == "masked" else 200
     schedule = SampleSchedule(0.37, 1e-3, n)
@@ -516,7 +529,7 @@ def refinement_stack(seed, kind):
             keep[b, dropped] = False
     z = np.where(keep, np.exp((2j * math.pi / T_M) * (y - LINK.delta0)), 0.0)
     y0 = np.where(keep, y - np.mean(y, axis=1, where=keep, keepdims=True), 0.0)
-    return schedule.times(), z, y0, SearchGrids.for_schedule(200, 1e-3)
+    return schedule.times(), z, y0, SearchGrids(200, 1e-3)
 
 
 class TestRefinement:
@@ -581,9 +594,10 @@ class TestUls:
 
     def test_record_fields(self):
         series, _, link = noiseless(-32.0, 2.0)
-        rec = uls_estimate(series, T_M, link.delta0).to_record()
+        text = estimate_to_csv(uls_estimate(series, T_M, link.delta0))
+        rec = next(csv.DictReader(io.StringIO(text)))
         assert rec["method"] == "ULS"
-        assert rec["n_used"] == 100 and rec["n_downweighted"] == 0
+        assert rec["n_used"] == "100" and rec["n_downweighted"] == "0"
 
 
 # offset half a step so that no point sits exactly on the wrap phase of a
@@ -623,7 +637,7 @@ def pcp_with_score(monkeypatch, series, grids=None, refine=True):
         return picked[-1]
 
     if grids is None:
-        grids = SearchGrids.for_schedule(len(series), 1e-3)
+        grids = SearchGrids(len(series), 1e-3)
     with monkeypatch.context() as m:
         m.setattr(estimators, "_best_segment", spy)
         est = pcp_estimate(series, T_M, LINK.delta0, grids, refine=refine)
@@ -638,7 +652,7 @@ class TestPcp:
         # densely; round fractions (e.g. 0.1 cycles/sample) leave the phase
         # identifiable only to the coarse wrap lattice
         series, clock, link = noiseless(f_d, 2.5, N=200)
-        g = SearchGrids.for_schedule(N=200, Ts=1e-3)
+        g = SearchGrids(N=200, Ts=1e-3)
         est = pcp_estimate(series, T_M, link.delta0, g)
         assert est.f_d_hat == pytest.approx(f_d, abs=0.05)
         assert abs(phase_error(est.phi_hat, clock.phi)) < 0.07
@@ -646,7 +660,7 @@ class TestPcp:
 
     def test_constant_series_degenerate(self):
         series, _, link = noiseless(0.0, 0.5, N=50)
-        g = SearchGrids.for_schedule(N=50, Ts=1e-3)
+        g = SearchGrids(N=50, Ts=1e-3)
         est = pcp_estimate(series, T_M, link.delta0, g)
         assert est.f_d_hat == 0.0 and est.f_grid_step is None
         assert est.phi_hat == 0.0 and est.phi_grid_step is None
@@ -654,7 +668,7 @@ class TestPcp:
 
     def test_refine_tightens_frequency(self):
         series, _, link = noiseless(-32.6, 1.0, N=200)
-        g = SearchGrids.for_schedule(N=200, Ts=1e-3)
+        g = SearchGrids(N=200, Ts=1e-3)
         coarse = pcp_estimate(series, T_M, link.delta0, g, refine=False)
         fine = pcp_estimate(series, T_M, link.delta0, g, refine=True)
         assert abs(fine.f_d_hat + 32.6) <= abs(coarse.f_d_hat + 32.6) + 1e-12
@@ -687,7 +701,7 @@ class TestPcp:
         rng = np.random.default_rng(400 + seed)
         t, b, _ = random_record(rng, 64)
         series = RttSeries(t, b + LINK.delta0)
-        grids = SearchGrids(8, 125.0, 1e-3)
+        grids = SearchGrids(2, 1e-3, 125.0)
         est, score = pcp_with_score(monkeypatch, series, grids, refine=False)
         assert abs(est.f_d_hat) == 125.0 and est.phi_grid_step > 1e-9
         peak = float(pcp_correlation(series, est.f_d_hat, est.phi_hat)[0])
@@ -801,7 +815,7 @@ class TestWlsSegmentSearch:
 class TestWlsEstimate:
     def test_noiseless_recovery(self):
         series, clock, link = noiseless(-32.0, 2.0, N=100)
-        g = SearchGrids.for_schedule(N=100, Ts=1e-3)
+        g = SearchGrids(N=100, Ts=1e-3)
         est = wls_estimate(series, T_M, link.delta0, g)
         assert est.f_d_hat == pytest.approx(-32.0, abs=0.05)
         assert abs(phase_error(est.phi_hat, clock.phi)) < 0.1
@@ -816,7 +830,7 @@ class TestWlsEstimate:
         y[40] = 4e-6  # gross outlier
         series = series.with_values(y)
         w = robust_weights(series)
-        g = SearchGrids.for_schedule(N=100, Ts=1e-3)
+        g = SearchGrids(N=100, Ts=1e-3)
         est = wls_estimate(series, T_M, LINK.delta0, g, w=w)
         assert w.w[40] == 0.0
         assert est.f_d_hat == pytest.approx(-32.0, abs=1.0)
@@ -824,7 +838,7 @@ class TestWlsEstimate:
 
     def test_refine_reduces_grid_steps(self):
         series, _, link = noiseless(-32.0, 2.0, N=100)
-        g = SearchGrids.for_schedule(N=100, Ts=1e-3)
+        g = SearchGrids(N=100, Ts=1e-3)
         est = wls_estimate(series, T_M, link.delta0, g)
         assert est.f_grid_step == pytest.approx(g.f_step / 100.0, rel=1e-9)
         # the phase step is the width of the minimising segment, which holds
@@ -840,7 +854,7 @@ class TestWlsEstimate:
         N = int(rng.integers(20, 300))
         series = noisy_record(seed, float(rng.uniform(-400.0, 400.0)), N)
         w = robust_weights(series)
-        g = SearchGrids.for_schedule(N, 1e-3)
+        g = SearchGrids(N, 1e-3)
         est = wls_estimate(series, T_M, LINK.delta0, g, w, refine=refine)
         keep = w.w > 0.0
         t = series.times[keep]
@@ -850,7 +864,7 @@ class TestWlsEstimate:
 
     def test_weight_length_mismatch(self):
         series, _, link = noiseless(-32.0, 2.0, N=100)
-        g = SearchGrids.for_schedule(N=100, Ts=1e-3)
+        g = SearchGrids(N=100, Ts=1e-3)
         with pytest.raises(ValueError):
             wls_estimate(series, T_M, link.delta0, g, w=WeightVector(np.ones(99)))
 
@@ -859,9 +873,9 @@ class TestWlsEstimate:
         # and one kept sample of 100 a nonsense f_d and range and a 2pi phase step
         single = RttSeries(np.array([0.0]), np.array([LINK.delta0 + 3e-9]))
         with pytest.raises(ValueError, match="at least 2 kept samples"):
-            wls_estimate(single, T_M, LINK.delta0, SearchGrids.for_schedule(N=1, Ts=1e-3))
+            wls_estimate(single, T_M, LINK.delta0, SearchGrids(N=1, Ts=1e-3))
         series = record_40db(3, 100, -32.0, 2.0)
-        g = SearchGrids.for_schedule(N=100, Ts=1e-3)
+        g = SearchGrids(N=100, Ts=1e-3)
         w = np.zeros(100)
         w[40] = 1.0
         with pytest.raises(ValueError, match="at least 2 kept samples"):
@@ -879,7 +893,7 @@ def record_40db(seed, N, f_d, phi):
 def estimate_all(series):
     """ULS, PCP and WLS (robust weights) on one record, on the grid of its
     length, so that shifted copies of a record see the same grid."""
-    g = SearchGrids.for_schedule(len(series), 1e-3)
+    g = SearchGrids(len(series), 1e-3)
     return (
         uls_estimate(series, T_M, LINK.delta0),
         pcp_estimate(series, T_M, LINK.delta0, g),
@@ -924,7 +938,7 @@ class TestMetamorphic:
         # dropping sample 0 moves the deleted record's FFT lattice origin
         keep = np.random.default_rng(seed).random(len(series)) >= 0.2
         keep[0] = not drop_first
-        g = SearchGrids.for_schedule(len(series), 1e-3)
+        g = SearchGrids(len(series), 1e-3)
         masked = wls_estimate(series, T_M, LINK.delta0, g, WeightVector(keep.astype(float)))
         kept = RttSeries(series.times[keep], series.values[keep])
         deleted = wls_estimate(kept, T_M, LINK.delta0, g)
@@ -959,7 +973,7 @@ class TestMetamorphic:
         series = generate_series(SampleSchedule(0.0, 1e-3, N), clock, LINK, noise, seed=rng)
         d = LINK.delta0 + LINK.flight_time
         mirror = series.with_values(2.0 * d + T_M - series.values)
-        final_step = (SearchGrids.for_schedule(N, 1e-3).f_step
+        final_step = (SearchGrids(N, 1e-3).f_step
                       / estimators._REFINE_FACTOR ** estimators._REFINE_LEVELS)
         for a, b in zip(estimate_all(series), estimate_all(mirror)):
             assert abs(b.f_d_hat + a.f_d_hat) <= final_step
@@ -968,7 +982,7 @@ class TestMetamorphic:
 
 
 BOUNDARY_SERIES = noiseless(-32.0, 1.0, N=60)[0]
-BOUNDARY_GRIDS = SearchGrids.for_schedule(60, 1e-3)
+BOUNDARY_GRIDS = SearchGrids(60, 1e-3)
 FIXED = Estimate(-31.0, 1.0, 2.0, "FIXED")  # off the truth: nonzero residuals
 
 # every public call that takes (T_m, delta0), on a valid record
@@ -985,7 +999,7 @@ CLOCK_CALLS = {
 # three stamps off the 1 ms lattice, the second 0.3 Ts past its point
 OFF_LATTICE = RttSeries(1e-3 * np.array([0.0, 0.3, 2.0]),
                         LINK.delta0 + np.array([1e-9, 4e-9, 2e-9]))
-OFF_LATTICE_GRIDS = SearchGrids.for_schedule(3, 1e-3)
+OFF_LATTICE_GRIDS = SearchGrids(3, 1e-3)
 
 bad_t_m = st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True),
                     st.sampled_from([math.nan, math.inf]))

@@ -63,7 +63,7 @@ def library_estimate(record, method, f_max=None, refine=True):
         return uls_estimate(record, 1e-8, 5e-6)
     t = record.times
     ts = float(t[-1] - t[0]) / (len(record) - 1) if len(record) > 1 else math.nan
-    grids = SearchGrids.for_schedule(len(record), ts, f_max=f_max)
+    grids = SearchGrids(len(record), ts, f_max=f_max)
     if method == "pcp":
         return pcp_estimate(preprocess_outliers(record), 1e-8, 5e-6, grids, refine=refine)
     return wls_estimate(record, 1e-8, 5e-6, grids, robust_weights(record), refine=refine)
@@ -227,7 +227,7 @@ class TestEstimateCsv:
         values = series.values.copy()
         values[::10] = 4e-6
         series = RttSeries(series.times, values)
-        est = wls_estimate(series, 1e-8, 5e-6, SearchGrids.for_schedule(200, 1e-3),
+        est = wls_estimate(series, 1e-8, 5e-6, SearchGrids(200, 1e-3),
                            robust_weights(series))
         assert est.weights.n_downweighted > 0
         buf = io.StringIO()
@@ -595,10 +595,13 @@ class TestCli:
         # two keys set the bounds: the file alone is named
         ("[experiment]\n" + _CONFIG_BODY + "outlier_fraction = 0.1\noutlier_lo = 5e-6\n"
          "outlier_hi = 4e-6\n", "exp.ini: lo must be below hi"),
+        # 30 stamps 1 us apart at 1e12 s round to one value: ULS fitted them
+        ("[experiment]\n" + _CONFIG_BODY.replace("ts = 1e-3", "ts = 1e-6") + "t0 = 1e12\n",
+         "exp.ini: times must be strictly increasing"),
     ], ids=["no-section", "repeated-key", "unknown-key", "snr-and-sigma-n", "snr-and-sigma-v",
             "bounds-without-fraction", "malformed-int", "malformed-boolean", "empty-sweep-values",
             "empty-estimators", "infinite-outlier-bound", "negative-seed", "zero-trials",
-            "negative-range", "bounds-out-of-order"])
+            "negative-range", "bounds-out-of-order", "collapsed-stamps"])
     def test_sweep_rejects_bad_config_file(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "exp.ini"
         cfg_path.write_text(text)
@@ -857,7 +860,7 @@ class TestCli:
         assert cli_main(["estimate", str(path), "--method", "wls", "--f-max", "200",
                          "--no-refine", "-o", str(a)]) == 0
         assert cli_main(["estimate", str(path), "--method", "wls", "-o", str(b)]) == 0
-        grids = SearchGrids.for_schedule(len(series), 1e-3)
+        grids = SearchGrids(len(series), 1e-3)
         est = wls_estimate(series, 1e-8, 5e-6, grids, robust_weights(series))
         assert b.read_bytes() == estimate_to_csv(est).encode()
         assert a.read_bytes() != b.read_bytes()

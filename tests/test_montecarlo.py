@@ -92,6 +92,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             base_config(sweep_axis=axis, sweep_values=values)
 
+    def test_rejects_n_whose_stamps_collapse(self):
+        # below 2**33 s a 1 us step is about one ulp, above it about half of
+        # one: N = 10 keeps its stamps distinct, N = 100 rounds some together
+        base = SampleSchedule(2.0**33 - 1e-5, 1e-6, 10)
+        with pytest.raises(ValueError, match="times must be strictly increasing"):
+            base_config(schedule=base, sweep_axis="N", sweep_values=(10.0, 100.0))
+
     def test_rejects_flight_time_beyond_update_period(self):
         with pytest.raises(ValueError, match="flight time"):
             base_config(link=LinkTruth(rho=2e5, delta0=5e-6))
@@ -147,8 +154,8 @@ class TestRunTrial:
 
     def test_small_errors_at_high_snr(self):
         rep = run_sweep(base_config(M=1, schedule=SampleSchedule(0.0, 1e-3, 100)))
-        assert rep.rmse(0.0, "WLS", "fd_hz") < 2.0
-        assert rep.rmse(0.0, "WLS", "rho_m") < 0.3
+        assert rep.row(0.0, "WLS")["rmse_fd_hz"] < 2.0
+        assert rep.row(0.0, "WLS")["rmse_rho_m"] < 0.3
 
 
 class TestRunSweep:
@@ -191,12 +198,12 @@ class TestRunSweep:
         cfg = base_config(seed=11, **shape)
         assert hashlib.sha256(report_to_csv(run_sweep(cfg)).encode()).hexdigest() == digest
 
-    def test_rmse_accessor(self):
+    def test_row_accessor(self):
         cfg = base_config(estimators=("ULS",))
         rep = run_sweep(cfg)
-        assert rep.rmse(0.0, "ULS", "fd_hz") == rep.rows[0]["rmse_fd_hz"]
+        assert rep.row(0.0, "ULS") is rep.rows[0]
         with pytest.raises(KeyError):
-            rep.rmse(1.0, "ULS", "fd_hz")
+            rep.row(1.0, "ULS")
 
     def test_snr_sweep_improves_with_snr(self):
         cfg = base_config(
@@ -207,7 +214,7 @@ class TestRunSweep:
             schedule=SampleSchedule(0.0, 1e-3, 100),
         )
         rep = run_sweep(cfg)
-        assert rep.rmse(50.0, "ULS", "rho_m") < rep.rmse(10.0, "ULS", "rho_m")
+        assert rep.row(50.0, "ULS")["rmse_rho_m"] < rep.row(10.0, "ULS")["rmse_rho_m"]
 
     def test_n_sweep_changes_record_length(self):
         cfg = base_config(
@@ -226,8 +233,8 @@ class TestRunSweep:
         )
         rep = run_sweep(cfg)
         # errors are relative to the swept truth, so both points stay small
-        assert rep.rmse(-100.0, "ULS", "fd_hz") < 5.0
-        assert rep.rmse(100.0, "ULS", "fd_hz") < 5.0
+        assert rep.row(-100.0, "ULS")["rmse_fd_hz"] < 5.0
+        assert rep.row(100.0, "ULS")["rmse_fd_hz"] < 5.0
 
     def test_outlier_sweep_degrades_uls(self):
         cfg = base_config(
@@ -239,7 +246,7 @@ class TestRunSweep:
             schedule=SampleSchedule(0.0, 1e-3, 100),
         )
         rep = run_sweep(cfg)
-        assert rep.rmse(0.3, "ULS", "rho_m") > 3.0 * rep.rmse(0.0, "ULS", "rho_m")
+        assert rep.row(0.3, "ULS")["rmse_rho_m"] > 3.0 * rep.row(0.0, "ULS")["rmse_rho_m"]
 
 
 class TestCramerRao:
@@ -267,7 +274,7 @@ class TestCramerRao:
         for N in sizes:
             crb = math.sqrt(12.0 * s2 / ((TWO_PI * 1e-3) ** 2 * N * (N * N - 1.0)))
             for name in ("ULS", "WLS"):
-                assert rep.rmse(N, name, "fd_hz") < 1.25 * crb, (name, N)
+                assert rep.row(N, name)["rmse_fd_hz"] < 1.25 * crb, (name, N)
 
 
 def serial_trial(cfg, sweep_idx, trial_seed):
@@ -287,7 +294,7 @@ def serial_trial(cfg, sweep_idx, trial_seed):
         values = series.values.copy()
         values[idx] = rng.uniform(outliers.lo, outliers.hi, size=count)
         series = series.with_values(values)
-    grids = SearchGrids.for_schedule(schedule.N, schedule.Ts)
+    grids = SearchGrids(schedule.N, schedule.Ts)
     T_m, delta0 = clock.T_m, cfg.link.delta0
     results = {}
     for name in cfg.estimators:
@@ -460,7 +467,7 @@ class TestStackedSweep:
         cfg = base_config(estimators=ALL, **STACKING_CASES["outliers"])
         for sweep_idx, point in enumerate(cfg.points):
             schedule = point[1]
-            grids = SearchGrids.for_schedule(schedule.N, schedule.Ts)
+            grids = SearchGrids(schedule.N, schedule.Ts)
             for it in range(cfg.M):
                 seed = (cfg.seed, sweep_idx, it)
                 errors = _run_stack(cfg, schedule, grids, [point], [seed])
