@@ -4,8 +4,10 @@ All three recover (f_d, phi, rho) from the same N = 200 samples:
   ULS  unwraps the normalized record and fits a line;
   PCP  picks the periodogram peak, then the correlation peak exactly over
        the continuous phase circle;
-  WLS  minimises the concentrated weighted least-squares cost exactly over
-       the frequency grid and the continuous phase circle.
+  WLS  picks the peak of the circular periodogram of its inliers, the
+       samples mapped onto the unit circle, then minimises the concentrated
+       least-squares cost at that frequency exactly over the continuous
+       phase circle; f_hat is not that cost's global minimiser.
 """
 
 from rttsync import (

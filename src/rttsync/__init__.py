@@ -10,7 +10,6 @@ from .model import (
     SampleSchedule,
     generate_series,
     sawtooth_template,
-    snr_to_sigma,
 )
 from .edge_sim import (
     ExchangeConfig,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 
 from . import analysis, edge_sim, estimators, io, model, montecarlo
 
@@ -180,6 +181,8 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
+    # a library warning as one line, with no source path or line echo
+    warnings.formatwarning = lambda message, *_: f"rttsync: warning: {message}\n"
     sys.exit(cli_main())
 
 

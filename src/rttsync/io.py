@@ -218,6 +218,6 @@ def read_experiment_config(path: str) -> ExperimentConfig:
         schedule=build(SampleSchedule, **{"t0": 0.0, **given["schedule"]}),
         noise=(build(NoiseSpec.from_snr, **snr, T_m=clock.T_m) if snr
                else build(NoiseSpec, **given.get("noise", {}))),
-        outliers=build(OutlierSpec, **given["outliers"]) if "outliers" in given else None,
+        outliers=build(OutlierSpec, **given.get("outliers", {"fraction": 0.0})),
         **given.get("config", {}),
     )

@@ -120,7 +120,7 @@ class NoiseSpec:
     """Noise levels: clock jitter (radians) and channel noise (seconds).
 
     Both are zero-mean Gaussian. Levels may equivalently be given as
-    SNR values, see :func:`snr_to_sigma`.
+    SNR values, see :meth:`from_snr`.
     """
 
     sigma_v: float = 0.0
@@ -133,7 +133,16 @@ class NoiseSpec:
 
     @classmethod
     def from_snr(cls, snr_c_db: float, snr_j_db: float, T_m: float) -> "NoiseSpec":
-        sigma_n, sigma_v = snr_to_sigma(snr_c_db, snr_j_db, T_m)
+        """Noise levels from the channel and jitter SNRs in dB, SNR_c =
+        10*log10(T_m^2 / sigma_n^2) and SNR_j = 10*log10((2pi)^2 / sigma_v^2);
+        an SNR so low that its sigma overflows (below about -6165 dB) is refused."""
+        sigmas = []
+        for name, snr, scale in (("snr_c_db", snr_c_db, T_m), ("snr_j_db", snr_j_db, TWO_PI)):
+            try:
+                sigmas.append(scale * 10.0 ** (-snr / 20.0))
+            except OverflowError:
+                raise ValueError(f"{name} of {snr:g} dB is too low: its sigma overflows") from None
+        sigma_n, sigma_v = sigmas
         return cls(sigma_v=sigma_v, sigma_n=sigma_n)
 
 
@@ -163,16 +172,6 @@ class RttSeries:
 
     def with_values(self, values: np.ndarray) -> "RttSeries":
         return RttSeries(self.times, values)
-
-
-def snr_to_sigma(snr_c_db: float, snr_j_db: float, T_m: float) -> tuple[float, float]:
-    """Convert (SNR_c, SNR_j) in dB to (sigma_n seconds, sigma_v radians).
-
-    SNR_c = 10*log10(T_m^2 / sigma_n^2), SNR_j = 10*log10((2pi)^2 / sigma_v^2).
-    """
-    sigma_n = T_m * 10.0 ** (-snr_c_db / 20.0)
-    sigma_v = TWO_PI * 10.0 ** (-snr_j_db / 20.0)
-    return sigma_n, sigma_v
 
 
 def sawtooth_template(t, f_d: float, phi: float, T_m: float, v=0.0):

@@ -21,7 +21,6 @@ from .model import (
     SampleSchedule,
     _check_flight_time,
     _generate_rows,
-    snr_to_sigma,
 )
 
 SWEEP_AXES = ("none", "snr_c", "snr_j", "N", "outlier_fraction", "f_d")
@@ -56,6 +55,8 @@ class OutlierSpec:
 class ExperimentConfig:
     """Full description of one Monte Carlo experiment.
 
+    noise holds sigmas; NoiseSpec.from_snr defines the SNRs and converts
+    them, for the SNR axes too. outliers defaults to OutlierSpec(0.0), none.
     preprocess controls whether ULS and PCP see outlier-filtered data; WLS
     always receives the raw record plus robust weights.
     """
@@ -64,7 +65,7 @@ class ExperimentConfig:
     link: LinkTruth
     schedule: SampleSchedule
     noise: NoiseSpec
-    outliers: OutlierSpec | None = None
+    outliers: OutlierSpec = OutlierSpec(0.0)
     M: int = 1000
     seed: int = 0
     estimators: tuple = ESTIMATORS
@@ -130,16 +131,15 @@ def _apply_sweep(cfg: ExperimentConfig, value: float):
     clock, schedule, noise, outliers = cfg.clock, cfg.schedule, cfg.noise, cfg.outliers
     axis = cfg.sweep_axis
     if axis == "snr_c":
-        sigma_n, _ = snr_to_sigma(value, 0.0, clock.T_m)
+        sigma_n = NoiseSpec.from_snr(value, 0.0, clock.T_m).sigma_n
         noise = dataclasses.replace(noise, sigma_n=sigma_n)
     elif axis == "snr_j":
-        _, sigma_v = snr_to_sigma(0.0, value, clock.T_m)
+        sigma_v = NoiseSpec.from_snr(0.0, value, clock.T_m).sigma_v
         noise = dataclasses.replace(noise, sigma_v=sigma_v)
     elif axis == "N":
         schedule = dataclasses.replace(schedule, N=value)
     elif axis == "outlier_fraction":
-        base = outliers if outliers is not None else OutlierSpec(fraction=0.0)
-        outliers = dataclasses.replace(base, fraction=value)
+        outliers = dataclasses.replace(outliers, fraction=value)
     elif axis == "f_d":
         clock = dataclasses.replace(clock, f_d=value)
     _check_flight_time(cfg.link, schedule.Ts)
@@ -166,7 +166,7 @@ def _run_stack(cfg: ExperimentConfig, schedule: SampleSchedule, grids: SearchGri
                        [noise for _, _, noise, _ in points],
                        [_child(seed, 1) for seed in trial_seeds])
     for b, ((_, _, _, outliers), seed) in enumerate(zip(points, trial_seeds)):
-        if outliers is not None and outliers.fraction > 0.0:
+        if outliers.fraction > 0.0:
             idx, drawn = _outlier_draws(schedule.N, outliers, _child(seed, 2))
             Y[b, idx] = drawn
 

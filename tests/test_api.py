@@ -13,7 +13,7 @@ from rttsync import cli, estimators, montecarlo
 # the public API: a name added here must have a caller outside the tests
 PUBLIC_NAMES = {
     "SPEED_OF_LIGHT", "ClockTruth", "LinkTruth", "NoiseSpec", "RttSeries", "SampleSchedule",
-    "generate_series", "sawtooth_template", "snr_to_sigma",
+    "generate_series", "sawtooth_template",
     "ExchangeConfig", "Oscillator", "equivalent_clock_truth", "simulate_campaign",
     "Estimate", "SearchGrids", "WeightVector", "pcp_estimate", "phase_error",
     "phase_error_seconds", "preprocess_outliers", "residuals", "robust_weights", "uls_estimate",
@@ -73,6 +73,11 @@ def test_reaches_estimators_only_through_estimate_stack(source, allowed):
     # sweep fitted as 100 distinct samples
     (lambda: rttsync.SampleSchedule(1e12, 1e-6, 100), "times must be strictly increasing"),
     (lambda: rttsync.NoiseSpec(sigma_v=-0.1), "must be nonnegative"),
+    # 10**350 overflows a float: an OverflowError traceback
+    (lambda: rttsync.NoiseSpec.from_snr(-7000.0, 0.0, 1e-8),
+     "snr_c_db of -7000 dB is too low"),
+    (lambda: rttsync.NoiseSpec.from_snr(0.0, -7000.0, 1e-8),
+     "snr_j_db of -7000 dB is too low"),
     (lambda: rttsync.RttSeries(np.zeros((2, 2)), np.zeros((2, 2))), "must be 1-D"),
     (lambda: rttsync.RttSeries([0.0, 1.0], [5e-6]), "equal length"),
     (lambda: rttsync.WeightVector(np.ones((2, 2))), "must be 1-D"),
@@ -90,7 +95,7 @@ def test_reaches_estimators_only_through_estimate_stack(source, allowed):
         rttsync.SampleSchedule(0.0, 1e-3, 30), rttsync.NoiseSpec(), seed=-1),
      "seed must be nonnegative"),
 ], ids=["clock-f-m", "link-rho", "link-delta0", "schedule-ts", "schedule-collapse",
-        "noise-sigma", "series-2d",
+        "noise-sigma", "noise-snr-c-overflow", "noise-snr-j-overflow", "series-2d",
         "series-lengths", "weights-2d", "oscillator-f0", "oscillator-alpha", "exchange-rho",
         "unwrap-empty", "calibration-shape", "calibration-non-finite", "oscillator-f",
         "outlier-hi-infinite", "outlier-lo-infinite", "config-seed"])

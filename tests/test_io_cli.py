@@ -3,12 +3,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rttsync
 from rttsync.analysis import calibrate_range, residual_acf
 from rttsync.cli import _build_parser, _estimate, cli_main
 from rttsync.estimators import (
@@ -397,12 +401,14 @@ class TestExperimentConfigFile:
         path = tmp_path / "exp.ini"
         path.write_text("[experiment]\nf_m = 1e8\nf_d = -32\nrho = 2.0\ndelta0 = 5e-6\n"
                         "ts = 1e-3\nn = 50\n")
-        assert read_experiment_config(str(path)) == ExperimentConfig(
+        cfg = read_experiment_config(str(path))
+        assert cfg == ExperimentConfig(
             clock=ClockTruth(1e8, -32.0),
             link=LinkTruth(rho=2.0, delta0=5e-6),
             schedule=SampleSchedule(0.0, 1e-3, 50),
             noise=NoiseSpec(),
         )
+        assert cfg.outliers == OutlierSpec(0.0)  # "no outliers" has one form
 
 
 class TestCalibrationPairs:
@@ -598,10 +604,16 @@ class TestCli:
         # 30 stamps 1 us apart at 1e12 s round to one value: ULS fitted them
         ("[experiment]\n" + _CONFIG_BODY.replace("ts = 1e-3", "ts = 1e-6") + "t0 = 1e12\n",
          "exp.ini: times must be strictly increasing"),
+        # an OverflowError traceback from the SNR conversion
+        ("[experiment]\n" + _CONFIG_BODY + "snr_c_db = -7000\nsnr_j_db = 0\n",
+         "exp.ini: bad value '-7000' for key 'snr_c_db': snr_c_db of -7000 dB is too low"),
+        ("[experiment]\n" + _CONFIG_BODY + "snr_c_db = 20\nsnr_j_db = 20\nsweep_axis = snr_j\n"
+         "sweep_values = -7000, 20\n", "exp.ini: snr_j_db of -7000 dB is too low"),
     ], ids=["no-section", "repeated-key", "unknown-key", "snr-and-sigma-n", "snr-and-sigma-v",
             "bounds-without-fraction", "malformed-int", "malformed-boolean", "empty-sweep-values",
             "empty-estimators", "infinite-outlier-bound", "negative-seed", "zero-trials",
-            "negative-range", "bounds-out-of-order", "collapsed-stamps"])
+            "negative-range", "bounds-out-of-order", "collapsed-stamps", "snr-key-overflow",
+            "snr-axis-overflow"])
     def test_sweep_rejects_bad_config_file(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "exp.ini"
         cfg_path.write_text(text)
@@ -670,9 +682,12 @@ class TestCli:
         (["estimate", "{off-lattice}", "--method", "pcp", "--t-m", "0"], "T_m must be positive"),
         (["estimate", "{off-lattice}", "--method", "wls", "--t-m", "2"], "T_m must be positive"),
         (["estimate", "{off-lattice}", "--method", "pcp"], "uniformly spaced"),
+        # 10**350 overflowed: a traceback and exit 1
+        (["simulate", "--snr-c-db", "-7000", "--snr-j-db", "0"],
+         "snr_c_db of -7000 dB is too low"),
     ], ids=["uls-one-row", "snr-c-alone", "missing-config", "zero-residuals",
             "edge-slave-at-0-hz", "wls-clock-before-count", "pcp-clock-before-stamps",
-            "wls-clock-before-stamps", "pcp-stamps-before-count"])
+            "wls-clock-before-stamps", "pcp-stamps-before-count", "snr-overflow"])
     def test_rejects_input_at_the_boundary(self, tmp_path, capsys, argv, message):
         files = {"{one-row}": tmp_path / "one.csv", "{constant}": tmp_path / "constant.csv",
                  "{missing}": tmp_path / "missing.ini", "{off-lattice}": tmp_path / "off.csv"}
@@ -864,6 +879,25 @@ class TestCli:
         est = wls_estimate(series, 1e-8, 5e-6, grids, robust_weights(series))
         assert b.read_bytes() == estimate_to_csv(est).encode()
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize("argv, warning", [
+        (["estimate", "zero_mad.csv", "--method", "wls"],
+         "zero MAD with nonzero deviations in 1 of 1 records; using uniform weights for them"),
+        (["simulate", "--f-d", "2e5", "-o", "s.csv"],
+         "|f_d|/f_m = 0.002 exceeds 1e-3; the constant-delay approximation degrades"),
+    ], ids=["zero-mad", "large-fd-ratio"])
+    def test_script_prints_each_warning_as_one_line(self, tmp_path, argv, warning):
+        # Python's default format named the source file by its installed
+        # path and line, then echoed that line
+        write_series(str(tmp_path / "zero_mad.csv"),
+                     RttSeries(1e-3 * np.arange(100), np.repeat([5e-6, 5.001e-6], [60, 40])))
+        src = os.path.dirname(os.path.dirname(rttsync.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+        proc = subprocess.run([sys.executable, "-m", "rttsync.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == f"rttsync: warning: {warning}\n"
 
     def test_error_exit_code(self, tmp_path, capsys):
         rc = cli_main(["estimate", str(tmp_path / "missing.csv"), "--method", "uls"])

@@ -13,7 +13,6 @@ from rttsync.model import (
     SampleSchedule,
     generate_series,
     sawtooth_template,
-    snr_to_sigma,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -116,20 +115,21 @@ class TestRttSample:
 
 class TestSnrConversion:
     def test_snr_c_40db(self):
-        sigma_n, _ = snr_to_sigma(40.0, 0.0, 1e-8)
+        sigma_n = NoiseSpec.from_snr(40.0, 0.0, 1e-8).sigma_n
         assert sigma_n == pytest.approx(1e-10, rel=1e-12)
 
     def test_snr_j_0db(self):
-        _, sigma_v = snr_to_sigma(0.0, 0.0, 1e-8)
+        sigma_v = NoiseSpec.from_snr(0.0, 0.0, 1e-8).sigma_v
         assert sigma_v == pytest.approx(TWO_PI, rel=1e-12)
 
     def test_snr_j_20db(self):
-        _, sigma_v = snr_to_sigma(0.0, 20.0, 1e-8)
+        sigma_v = NoiseSpec.from_snr(0.0, 20.0, 1e-8).sigma_v
         assert sigma_v == pytest.approx(TWO_PI / 10.0, rel=1e-12)
 
     def test_round_trip(self):
         # invert through the defining SNR formulas
-        sigma_n, sigma_v = snr_to_sigma(37.0, 23.0, 1e-8)
+        spec = NoiseSpec.from_snr(37.0, 23.0, 1e-8)
+        sigma_n, sigma_v = spec.sigma_n, spec.sigma_v
         assert 10.0 * math.log10(1e-16 / sigma_n**2) == pytest.approx(37.0, rel=1e-12)
         assert 10.0 * math.log10(TWO_PI**2 / sigma_v**2) == pytest.approx(23.0, rel=1e-12)
 

@@ -287,7 +287,7 @@ def serial_trial(cfg, sweep_idx, trial_seed):
     clock = dataclasses.replace(
         clock, phi=float(np.random.default_rng(phi_ss).uniform(0.0, TWO_PI)))
     series = generate_series(schedule, clock, cfg.link, noise, seed=series_ss)
-    if outliers is not None and outliers.fraction > 0.0:
+    if outliers.fraction > 0.0:
         rng = np.random.default_rng(outlier_ss)
         count = int(round(outliers.fraction * schedule.N))
         idx = np.sort(rng.choice(schedule.N, size=count, replace=False))
