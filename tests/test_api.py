@@ -64,6 +64,13 @@ def test_reaches_estimators_only_through_estimate_stack(source, allowed):
     assert [name for name in sorted(protocol) if name in text] == []
 
 
+def _config(**fields):
+    return rttsync.ExperimentConfig(**{
+        "clock": rttsync.ClockTruth(1e8, -32.0), "link": rttsync.LinkTruth(2.0, 5e-6),
+        "schedule": rttsync.SampleSchedule(0.0, 1e-3, 30), "noise": rttsync.NoiseSpec(),
+        **fields})
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: rttsync.ClockTruth(f_m=-1e8, f_d=0.0), "f_m must be positive"),
     (lambda: rttsync.LinkTruth(rho=-1.0, delta0=5e-6), "rho must be nonnegative"),
@@ -78,6 +85,13 @@ def test_reaches_estimators_only_through_estimate_stack(source, allowed):
      "snr_c_db of -7000 dB is too low"),
     (lambda: rttsync.NoiseSpec.from_snr(0.0, -7000.0, 1e-8),
      "snr_j_db of -7000 dB is too low"),
+    # these read "noise standard deviations must be finite", naming no SNR:
+    # 2pi * 10**308 overflows to inf without an OverflowError
+    (lambda: rttsync.NoiseSpec.from_snr(0.0, -6160.0, 1e-8),
+     "^snr_j_db of -6160 dB is too low"),
+    (lambda: rttsync.NoiseSpec.from_snr(math.nan, 0.0, 1e-8), "^snr_c_db must be a number"),
+    (lambda: rttsync.NoiseSpec.from_snr(-math.inf, 0.0, 1e-8),
+     "^snr_c_db of -inf dB is too low"),
     (lambda: rttsync.RttSeries(np.zeros((2, 2)), np.zeros((2, 2))), "must be 1-D"),
     (lambda: rttsync.RttSeries([0.0, 1.0], [5e-6]), "equal length"),
     (lambda: rttsync.WeightVector(np.ones((2, 2))), "must be 1-D"),
@@ -94,11 +108,19 @@ def test_reaches_estimators_only_through_estimate_stack(source, allowed):
         rttsync.ClockTruth(1e8, -32.0), rttsync.LinkTruth(2.0, 5e-6),
         rttsync.SampleSchedule(0.0, 1e-3, 30), rttsync.NoiseSpec(), seed=-1),
      "seed must be nonnegative"),
+    # each of these failed inside run_sweep, with an AttributeError or a TypeError
+    (lambda: _config(outliers=None), "^outliers must be an instance of OutlierSpec"),
+    (lambda: _config(noise=None), "^noise must be an instance of NoiseSpec"),
+    (lambda: _config(clock=(1e8, -32.0)), "^clock must be an instance of ClockTruth"),
+    (lambda: _config(seed=1.5), "^seed must be an integer"),
+    (lambda: _config(M=2.0), "^M must be an integer"),
 ], ids=["clock-f-m", "link-rho", "link-delta0", "schedule-ts", "schedule-collapse",
-        "noise-sigma", "noise-snr-c-overflow", "noise-snr-j-overflow", "series-2d",
+        "noise-sigma", "noise-snr-c-overflow", "noise-snr-j-overflow", "noise-snr-j-inf",
+        "noise-snr-nan", "noise-snr-minus-inf", "series-2d",
         "series-lengths", "weights-2d", "oscillator-f0", "oscillator-alpha", "exchange-rho",
         "unwrap-empty", "calibration-shape", "calibration-non-finite", "oscillator-f",
-        "outlier-hi-infinite", "outlier-lo-infinite", "config-seed"])
+        "outlier-hi-infinite", "outlier-lo-infinite", "config-seed", "config-outliers-none",
+        "config-noise-none", "config-clock-tuple", "config-seed-float", "config-m-float"])
 def test_public_types_reject_bad_values(build, message):
     # bad input stops where it enters, with a ValueError that says why
     with pytest.raises(ValueError, match=message):

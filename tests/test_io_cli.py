@@ -609,11 +609,18 @@ class TestCli:
          "exp.ini: bad value '-7000' for key 'snr_c_db': snr_c_db of -7000 dB is too low"),
         ("[experiment]\n" + _CONFIG_BODY + "snr_c_db = 20\nsnr_j_db = 20\nsweep_axis = snr_j\n"
          "sweep_values = -7000, 20\n", "exp.ini: snr_j_db of -7000 dB is too low"),
+        # these read "noise standard deviations must be finite", naming no key
+        ("[experiment]\n" + _CONFIG_BODY + "snr_c_db = 20\nsnr_j_db = nan\n",
+         "exp.ini: bad value 'nan' for key 'snr_j_db': snr_j_db must be a number"),
+        ("[experiment]\n" + _CONFIG_BODY + "snr_c_db = -inf\nsnr_j_db = 20\n",
+         "exp.ini: bad value '-inf' for key 'snr_c_db': snr_c_db of -inf dB is too low"),
+        ("[experiment]\n" + _CONFIG_BODY + "snr_c_db = 20\nsnr_j_db = -6160\n",
+         "exp.ini: bad value '-6160' for key 'snr_j_db': snr_j_db of -6160 dB is too low"),
     ], ids=["no-section", "repeated-key", "unknown-key", "snr-and-sigma-n", "snr-and-sigma-v",
             "bounds-without-fraction", "malformed-int", "malformed-boolean", "empty-sweep-values",
             "empty-estimators", "infinite-outlier-bound", "negative-seed", "zero-trials",
             "negative-range", "bounds-out-of-order", "collapsed-stamps", "snr-key-overflow",
-            "snr-axis-overflow"])
+            "snr-axis-overflow", "snr-key-nan", "snr-key-minus-inf", "snr-key-inf-sigma"])
     def test_sweep_rejects_bad_config_file(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "exp.ini"
         cfg_path.write_text(text)
@@ -685,9 +692,15 @@ class TestCli:
         # 10**350 overflowed: a traceback and exit 1
         (["simulate", "--snr-c-db", "-7000", "--snr-j-db", "0"],
          "snr_c_db of -7000 dB is too low"),
+        # "noise standard deviations must be finite" named no flag
+        (["simulate", "--snr-c-db", "nan", "--snr-j-db", "0"], "snr_c_db must be a number"),
+        (["simulate", "--snr-c-db", "0", "--snr-j-db=-inf"], "snr_j_db of -inf dB is too low"),
+        (["simulate", "--snr-c-db", "0", "--snr-j-db", "-6160"],
+         "snr_j_db of -6160 dB is too low"),
     ], ids=["uls-one-row", "snr-c-alone", "missing-config", "zero-residuals",
             "edge-slave-at-0-hz", "wls-clock-before-count", "pcp-clock-before-stamps",
-            "wls-clock-before-stamps", "pcp-stamps-before-count", "snr-overflow"])
+            "wls-clock-before-stamps", "pcp-stamps-before-count", "snr-overflow", "snr-nan",
+            "snr-minus-inf", "snr-inf-sigma"])
     def test_rejects_input_at_the_boundary(self, tmp_path, capsys, argv, message):
         files = {"{one-row}": tmp_path / "one.csv", "{constant}": tmp_path / "constant.csv",
                  "{missing}": tmp_path / "missing.ini", "{off-lattice}": tmp_path / "off.csv"}

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -26,9 +26,12 @@ from rttsync.montecarlo import (
     ExperimentConfig,
     OutlierSpec,
     SweepReport,
+    _child_words,
+    _Drawn,
     _outlier_draws,
     _quartiles,
     _run_stack,
+    _uniform_phase,
     run_sweep,
 )
 
@@ -410,6 +413,9 @@ STACKING_CASES = {
     # stamps counted from an epoch, off the 1 ms lattice in float: PCP and
     # WLS reject them (check_sampling), ULS does not check stamps
     "epoch_off_lattice": dict(M=3, schedule=SampleSchedule(1e11, 1e-3, 50)),
+    # a master seed of three entropy words, one stack with and without child 2's draws
+    "multi_word_seed": dict(M=4, seed=2**64 + 1, outliers=OutlierSpec(fraction=0.1),
+                            sweep_axis="outlier_fraction", sweep_values=(0.0, 0.1)),
 }
 
 # cases whose f_d = 0 records fall back to uniform WLS weights, one per trial
@@ -469,10 +475,34 @@ class TestStackedSweep:
             schedule = point[1]
             grids = SearchGrids(schedule.N, schedule.Ts)
             for it in range(cfg.M):
-                seed = (cfg.seed, sweep_idx, it)
-                errors = _run_stack(cfg, schedule, grids, [point], [seed])
+                errors = _run_stack(cfg, schedule, grids, [point], [sweep_idx], [it])
                 assert {name: tuple(err[0].tolist()) for name, err in errors.items()} == \
-                    serial_trial(cfg, sweep_idx, seed)
+                    serial_trial(cfg, sweep_idx, (cfg.seed, sweep_idx, it))
+
+
+class TestTrialSeeds:
+    # master seeds of one, two and three words, on either side of each word edge
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**80 - 1),
+           st.lists(st.tuples(st.integers(0, 63), st.integers(0, 10**4 - 1)),
+                    min_size=1, max_size=6),
+           st.lists(st.sampled_from((0, 1, 2)), min_size=1, max_size=3, unique=True))
+    @example(0, [(0, 0)], [0, 1, 2])
+    @example(2**32 - 1, [(63, 9999), (0, 1)], [0, 1, 2])
+    @example(2**32, [(1, 2)], [2, 0])
+    @example(2**64 + 3, [(5, 7), (5, 8)], [1])
+    def test_children_hold_numpy_pcg64_states(self, seed, trials, children):
+        idx, it = zip(*trials)
+        words = _child_words(seed, idx, it, children)
+        assert words.shape == (len(children), len(trials), 4) and words.dtype == np.uint64
+        for i, drawn in zip(children, words):
+            for trial, child_words in zip(trials, drawn):
+                child = np.random.SeedSequence((seed, *trial), spawn_key=(i,))
+                np.testing.assert_array_equal(child_words, child.generate_state(4, np.uint64))
+                assert np.random.PCG64(_Drawn(child_words)).state == np.random.PCG64(child).state
+                if i == 0:
+                    phase = np.random.default_rng(child).uniform(0.0, TWO_PI)
+                    assert _uniform_phase(*child_words.tolist()) == phase
 
 
 class TestQuartiles:
